@@ -16,7 +16,7 @@ from .errors import (
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields
 from .security import SecurityReport, build_security_report, signature_length_search
 from .session import ChannelTables, SiftedData, StopRule, expected_rates, run_kgp_session
-from .sources import DecoySourceConfig, PulseRecord, SystemProfile
+from .sources import DecoySourceConfig, SystemProfile
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "ErrorBudget",
     "InfeasibleBoundsError",
     "InfeasibleObservationsError",
-    "PulseRecord",
     "SecurityReport",
     "SiftedData",
     "StopRule",

@@ -10,7 +10,7 @@ import click
 from .errors import ValidationError
 from .scenario import (
     EXIT_VALIDATION,
-    load_scenario,
+    read_scenario_file,
     render_report,
     run,
     scenario_from_dict,
@@ -19,23 +19,11 @@ from .scenario import (
 
 
 def _load(config, preset, mode, seed, scale, output_format):
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if scale is not None:
-        overrides["scale_factor"] = scale
-    if output_format is not None:
-        overrides["format"] = output_format
-    if config is not None:
-        scenario = load_scenario(config, preset=preset)
-        raw = None
-    else:
-        scenario = scenario_from_dict({"mode": mode, **overrides}, preset=preset)
-        return scenario
-    for name, value in {**overrides, "mode": mode}.items():
-        setattr(scenario, name, value)
-    scenario.__post_init__()
-    return scenario
+    """The config file's fields, overridden by the options given and the mode."""
+    raw = read_scenario_file(config) if config is not None else {}
+    options = {"seed": seed, "scale_factor": scale, "format": output_format}
+    raw = {**raw, **{k: v for k, v in options.items() if v is not None}, "mode": mode}
+    return scenario_from_dict(raw, preset=preset)
 
 
 def _emit(code: int, payload: dict, out: str | None, output_format: str):

@@ -137,13 +137,6 @@ def mu_parameter(n_half: float, r_k: float, eps_pe: float) -> float:
     return math.sqrt((n_half - r_k + 1) * math.log(1.0 / eps_pe) / (r_k * n_k))
 
 
-def hoeffding_tail(deviation: float, trials: float) -> float:
-    """exp(-deviation^2 * trials), clamped to [0, 1]."""
-    if deviation < 0 or trials < 0:
-        raise DomainError("deviation and trials must be nonnegative")
-    return min(1.0, math.exp(-(deviation ** 2) * trials))
-
-
 def log2addexp(a: float, b: float) -> float:
     """log2(2^a + 2^b) without overflow."""
     hi, lo = (a, b) if a >= b else (b, a)

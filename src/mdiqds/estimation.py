@@ -494,9 +494,7 @@ class YieldEstimate:
 @dataclass
 class EstimationResult:
     estimates: dict[int, YieldEstimate]
-    code_bits: dict[int, tuple[np.ndarray, np.ndarray]]
     keep_indices: dict[int, np.ndarray]
-    code_indices: dict[int, np.ndarray]
 
     def best_bell(self) -> int:
         """The Bell state whose code string has the smallest phase error."""
@@ -523,12 +521,9 @@ def estimate_yields(
     pop = photon_population(config_a, config_b)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
     estimates: dict[int, YieldEstimate] = {}
-    code_bits = {}
     keep_indices = {}
-    code_indices = {}
     for bell in (0, 1):
-        alice, bob = sifted.signal_z_bits(bell)
-        size = len(alice)
+        size = len(sifted.signal_z_bits(bell)[0])
         r_k = int(round(r_fraction * size))
         est = YieldEstimate(
             bell=bell, n_k=0, r_k=0, e_obs=0.0, e_upper=1.0,
@@ -559,9 +554,7 @@ def estimate_yields(
             continue
         est.n_k0 = serfling_scale(est.m_k0, size, n_half, budget.eps_k0_serfling)
         est.n_k1 = serfling_scale(est.m_k1, size, n_half, budget.eps_k1_serfling)
-        code_bits[bell] = (alice[code], bob[code])
         keep_indices[bell] = keep
-        code_indices[bell] = code
         try:
             aux = x_basis_bounds(sifted, bell, pop, budget, method=x_error_method)
             est.n_bar_k1 = aux.n_bar_k1
@@ -572,9 +565,4 @@ def estimate_yields(
             est.e_k1 = 1.0
             continue
         est.usable = True
-    return EstimationResult(
-        estimates=estimates,
-        code_bits=code_bits,
-        keep_indices=keep_indices,
-        code_indices=code_indices,
-    )
+    return EstimationResult(estimates=estimates, keep_indices=keep_indices)

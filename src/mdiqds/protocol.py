@@ -10,7 +10,6 @@ not these simulators, carry the general-attack claims.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -191,31 +190,6 @@ def simulate_honest_run(
         "abort": not bob.accepted,
         "transferability_failure": bob.accepted and not charlie.accepted,
     }
-
-
-def transcript_to_json(transcript: dict) -> str:
-    return json.dumps(transcript, sort_keys=True, indent=2)
-
-
-def sign_message(states: list[SignedKeyState], bits: list[int]) -> list[Declaration]:
-    """Sign a multi-bit message by iterating the one-bit scheme, one
-    distribution-stage state per message bit."""
-    if len(states) != len(bits):
-        raise ValidationError("one signed-key state is needed per message bit")
-    return [sign(state, int(bit)) for state, bit in zip(states, bits)]
-
-
-def verify_message(
-    declarations: list[Declaration],
-    keys: list[list[KeyRecord]],
-    threshold: float,
-    length: int,
-) -> list[VerificationResult]:
-    """Verify each bit's declaration against the matching key; the message
-    is accepted only if every bit is."""
-    if len(declarations) != len(keys):
-        raise ValidationError("one key is needed per declaration")
-    return [verify(d, k, threshold, length) for d, k in zip(declarations, keys)]
 
 
 # -- vectorized trial batteries ---------------------------------------------

@@ -23,18 +23,9 @@ multi-photon pulses stay in a single (rotated) polarization mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .sources import ORTHOGONAL, PulseRecord, SystemProfile
-
-DETECTORS = ("D1H", "D1V", "D2H", "D2V")
-
-PSI_MINUS = "psi_minus"
-PSI_PLUS = "psi_plus"
-FAILURE = "failure"
+from .sources import SystemProfile
 
 # Click-pattern classes over detector indices (D1H, D1V, D2H, D2V).
 _PSI_MINUS_PATTERNS = (frozenset({0, 3}), frozenset({1, 2}))
@@ -75,44 +66,25 @@ def _creation_vector(
     return tuple(c_h * vh + c_v * vv for vh, vv in zip(vec_h, vec_v))
 
 
-def classify_pattern(clicked: frozenset[int]) -> str:
-    if clicked in _PSI_MINUS_PATTERNS:
-        return PSI_MINUS
-    if clicked in _PSI_PLUS_PATTERNS:
-        return PSI_PLUS
-    return FAILURE
-
-
-@dataclass(frozen=True)
-class BsmOutcome:
-    result: str
-    click_pattern: frozenset[str]
-
-
 @lru_cache(maxsize=None)
 def occupation_distribution(
     pol_a: str,
     k_a: int,
-    l_a: int,
     pol_b: str,
     k_b: int,
-    l_b: int,
     frame_angle_b: float = 0.0,
 ) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[float, ...]]:
     """Exact detector-mode occupation distribution for a relay input of
-    k photons in the nominal polarization plus l photons in the orthogonal
-    one per party, with party B's frame rotated by ``frame_angle_b``.
+    k_a photons polarized ``pol_a`` from party A and k_b photons polarized
+    ``pol_b`` from party B, with party B's frame rotated by ``frame_angle_b``.
 
     Returns parallel tuples of occupation vectors and their probabilities.
     The expansion multiplies out the product of single-photon creation
     operators, so Hong-Ou-Mandel interference between indistinguishable
     photons is included exactly.
     """
-    factors = []
-    factors += [_creation_vector("a", pol_a)] * k_a
-    factors += [_creation_vector("a", ORTHOGONAL[pol_a])] * l_a
+    factors = [_creation_vector("a", pol_a)] * k_a
     factors += [_creation_vector("b", pol_b, frame_angle_b)] * k_b
-    factors += [_creation_vector("b", ORTHOGONAL[pol_b], frame_angle_b)] * l_b
 
     poly: dict[tuple[int, int, int, int], float] = {(0, 0, 0, 0): 1.0}
     for vec in factors:
@@ -128,7 +100,7 @@ def occupation_distribution(
                 nxt[key] = nxt.get(key, 0.0) + coeff * amp
         poly = nxt
 
-    norm = math.factorial(k_a) * math.factorial(l_a) * math.factorial(k_b) * math.factorial(l_b)
+    norm = math.factorial(k_a) * math.factorial(k_b)
     occs = []
     probs = []
     for occ, coeff in poly.items():
@@ -151,8 +123,8 @@ def click_probabilities(occ, eta: float, dark: float) -> tuple[float, float, flo
 
 
 class RelayEngine:
-    """Caches occupation distributions and announcement probabilities for a
-    fixed detector efficiency, dark-count probability, and frame mismatch."""
+    """Announcement probabilities for a fixed detector efficiency,
+    dark-count probability, and frame mismatch."""
 
     def __init__(
         self,
@@ -163,8 +135,6 @@ class RelayEngine:
         self.eta = detector_efficiency
         self.dark = dark_count_prob
         self.frame_angle_b = math.asin(math.sqrt(misalignment))
-        self._cdf_cache: dict[tuple, tuple[tuple, np.ndarray]] = {}
-        self._outcome_cache: dict[tuple, tuple[float, float]] = {}
 
     @classmethod
     def for_profile(cls, profile: SystemProfile) -> "RelayEngine":
@@ -172,31 +142,21 @@ class RelayEngine:
             profile.detector_efficiency, profile.dark_count_prob, profile.misalignment
         )
 
-    def _occupation_cdf(self, key):
-        cached = self._cdf_cache.get(key)
-        if cached is None:
-            occs, probs = occupation_distribution(*key, self.frame_angle_b)
-            cached = (occs, np.cumsum(probs))
-            self._cdf_cache[key] = cached
-        return cached
-
-    def outcome_probabilities(self, key) -> tuple[float, float]:
+    def outcome_probabilities(
+        self, pol_a: str, k_a: int, pol_b: str, k_b: int
+    ) -> tuple[float, float]:
         """(P(psi_minus), P(psi_plus)) for an input configuration, detector
         imperfections included."""
-        cached = self._outcome_cache.get(key)
-        if cached is None:
-            occs, probs = occupation_distribution(*key, self.frame_angle_b)
-            p_minus = 0.0
-            p_plus = 0.0
-            for occ, p_occ in zip(occs, probs):
-                q = click_probabilities(occ, self.eta, self.dark)
-                for pattern in _PSI_MINUS_PATTERNS:
-                    p_minus += p_occ * self._pattern_prob(q, pattern)
-                for pattern in _PSI_PLUS_PATTERNS:
-                    p_plus += p_occ * self._pattern_prob(q, pattern)
-            cached = (p_minus, p_plus)
-            self._outcome_cache[key] = cached
-        return cached
+        occs, probs = occupation_distribution(pol_a, k_a, pol_b, k_b, self.frame_angle_b)
+        p_minus = 0.0
+        p_plus = 0.0
+        for occ, p_occ in zip(occs, probs):
+            q = click_probabilities(occ, self.eta, self.dark)
+            for pattern in _PSI_MINUS_PATTERNS:
+                p_minus += p_occ * self._pattern_prob(q, pattern)
+            for pattern in _PSI_PLUS_PATTERNS:
+                p_plus += p_occ * self._pattern_prob(q, pattern)
+        return p_minus, p_plus
 
     @staticmethod
     def _pattern_prob(q, pattern) -> float:
@@ -204,48 +164,3 @@ class RelayEngine:
         for i in range(4):
             p *= q[i] if i in pattern else 1.0 - q[i]
         return p
-
-    def sample(self, key, rng: np.random.Generator) -> BsmOutcome:
-        occs, cdf = self._occupation_cdf(key)
-        occ = occs[int(np.searchsorted(cdf, rng.random(), side="right"))]
-        q = click_probabilities(occ, self.eta, self.dark)
-        clicked = frozenset(i for i in range(4) if rng.random() < q[i])
-        result = classify_pattern(clicked)
-        return BsmOutcome(result, frozenset(DETECTORS[i] for i in clicked))
-
-
-def input_key(pulse_a: PulseRecord, pulse_b: PulseRecord) -> tuple:
-    return (
-        pulse_a.polarization,
-        pulse_a.photon_number - pulse_a.photons_flipped,
-        pulse_a.photons_flipped,
-        pulse_b.polarization,
-        pulse_b.photon_number - pulse_b.photons_flipped,
-        pulse_b.photons_flipped,
-    )
-
-
-def relay_bsm(
-    pulse_a: PulseRecord,
-    pulse_b: PulseRecord,
-    profile: SystemProfile,
-    rng: np.random.Generator,
-    engine: RelayEngine | None = None,
-) -> BsmOutcome:
-    """Run one Bell state measurement on a pair of propagated pulses."""
-    if engine is None:
-        engine = RelayEngine.for_profile(profile)
-    return engine.sample(input_key(pulse_a, pulse_b), rng)
-
-
-def sift_bit(basis: str, bell: str, bob_bit: int) -> int:
-    """Bob's conditional bit flip after a successful announcement.
-
-    Z basis: both announced Bell states anti-correlate the bits, so always
-    flip.  X basis: only psi_minus anti-correlates.
-    """
-    if basis == "Z":
-        return bob_bit ^ 1
-    if bell == PSI_MINUS:
-        return bob_bit ^ 1
-    return bob_bit

@@ -163,7 +163,8 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
         raise ValidationError(str(exc)) from exc
 
 
-def load_scenario(path: str | Path, preset: str | None = None) -> Scenario:
+def read_scenario_file(path: str | Path) -> dict:
+    """The configuration dictionary stored in a scenario JSON file."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -171,7 +172,9 @@ def load_scenario(path: str | Path, preset: str | None = None) -> Scenario:
         raise ValidationError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario file is not valid JSON: {exc}")
-    return scenario_from_dict(raw, preset=preset)
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario must be a JSON object")
+    return raw
 
 
 def render_report(payload: dict) -> str:

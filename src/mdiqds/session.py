@@ -6,10 +6,14 @@ drawing any variable that cannot influence the recorded data.  A pulse whose
 photons all die in fiber can only be announced through dark counts, and dark
 counts are independent of everything the parties chose, so those pulses are
 classified with one uniform draw each and only promoted to full events when
-the (rare) dark coincidence fires.  The resulting event stream is distributed
-identically to pulse-at-a-time simulation with `sample_pulse`, `transmit`,
-`relay_bsm` and `sift_bit`, which the fast path shares its physics tables
-with.
+the (rare) dark coincidence fires.
+
+The relay is untrusted, so the parties only see its announcement: the engine
+draws each announcement with one uniform against (P(psi_minus), P(psi_plus))
+for the relay input, read from the one relay table on `ChannelTables`.  The
+closed-form `expected_rates` reads the same table, so Monte-Carlo sessions
+are checked against those expectations, and the table itself against the
+brute-force Fock oracle in the tests.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from .sources import (
     DecoySourceConfig,
     SystemProfile,
 )
-
-BELLS = ("psi_minus", "psi_plus")
 
 _POL_INDEX = {"H": 0, "V": 1, "D": 2, "A": 3}
 _POL_NAMES = ("H", "V", "D", "A")
@@ -56,17 +58,6 @@ def _normalized_cdf(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / total)
 
 
-def _is_error(basis_idx: int, bits_same: bool, bell_idx: int) -> bool:
-    """Whether a recorded event is a mismatch after Bob's sifting flip.
-
-    Z basis anti-correlates on both announced states, so same-bit events are
-    errors; X basis anti-correlates only on psi_minus.
-    """
-    if basis_idx == 0:
-        return bits_same
-    return bits_same if bell_idx == 0 else not bits_same
-
-
 class ChannelTables:
     """Per-(sources, profile) sampling tables shared by the Monte-Carlo and
     closed-form paths."""
@@ -81,6 +72,9 @@ class ChannelTables:
         self.config_b = config_b
         self.profile = profile
         self.engine = RelayEngine.for_profile(profile)
+        # relay[pol_a, k_a, pol_b, k_b] = (P(psi_minus), P(psi_plus)) for k_a
+        # and k_b arriving photons; each entry is filled on first use
+        self.relay = np.full((4, N_CUT + 1, 4, N_CUT + 1, 2), np.nan)
         t = profile.transmittance()
         self.binom_survive = _binomial_matrix(t)
 
@@ -120,23 +114,33 @@ class ChannelTables:
             self.basis_z_prob[party] = cfg.basis_probs["Z"]
 
         # a lone arriving photon (or none) announces independently of its
-        # polarization; take the Bell-state probabilities from the engine
-        one_a = self.engine.outcome_probabilities(("H", 1, 0, "H", 0, 0))
-        one_b = self.engine.outcome_probabilities(("H", 0, 0, "H", 1, 0))
-        self.p_side_single = {"a": one_a, "b": one_b}
-        self.p_dark = self.engine.outcome_probabilities(("H", 0, 0, "H", 0, 0))
+        # polarization; take the Bell-state probabilities for H
+        self.p_side_single = {"a": self.relay_outcome(0, 1, 0, 0),
+                              "b": self.relay_outcome(0, 0, 0, 1)}
+        self.p_dark = self.relay_outcome(0, 0, 0, 0)
         self._rates = None
         self._source_outcome_cache: dict[tuple, np.ndarray] = {}
 
-    def outcome_thresholds(self, packed_keys: np.ndarray) -> np.ndarray:
-        """(P(psi_minus), P(psi_minus)+P(psi_plus)) per packed input key."""
-        out = np.empty((len(packed_keys), 2))
-        for row, packed in enumerate(packed_keys):
-            key = _unpack_key(int(packed))
-            p_minus, p_plus = self.engine.outcome_probabilities(key)
-            out[row, 0] = p_minus
-            out[row, 1] = p_minus + p_plus
-        return out
+    def relay_outcome(self, pol_a: int, k_a: int, pol_b: int, k_b: int) -> np.ndarray:
+        """The relay table entry (P(psi_minus), P(psi_plus)) for one input."""
+        entry = self.relay[pol_a, k_a, pol_b, k_b]
+        if math.isnan(entry[0]):
+            entry[:] = self.engine.outcome_probabilities(
+                _POL_NAMES[pol_a], k_a, _POL_NAMES[pol_b], k_b
+            )
+        return entry
+
+    def relay_outcomes(self, pol_a, k_a, pol_b, k_b) -> np.ndarray:
+        """Relay table rows (P(psi_minus), P(psi_plus)) for arrays of inputs."""
+        flat = np.ravel_multi_index((pol_a, k_a, pol_b, k_b), self.relay.shape[:4])
+        table = self.relay.reshape(-1, 2)
+        probs = table[flat]
+        missing = np.isnan(probs[:, 0])
+        if missing.any():
+            for idx in np.unique(flat[missing]):
+                self.relay_outcome(*map(int, np.unravel_index(idx, self.relay.shape[:4])))
+            probs = table[flat]
+        return probs
 
     # -- closed-form expectations ------------------------------------------
 
@@ -153,9 +157,7 @@ class ChannelTables:
                 w = w_a * self.binom_survive[m, k_b]
                 if w <= 0.0:
                     continue
-                p_minus, p_plus = self.engine.outcome_probabilities(
-                    (_POL_NAMES[pol_a], k_a, 0, _POL_NAMES[pol_b], k_b, 0)
-                )
+                p_minus, p_plus = self.relay_outcome(pol_a, k_a, pol_b, k_b)
                 p[0] += w * p_minus
                 p[1] += w * p_plus
         self._source_outcome_cache[key] = p
@@ -171,6 +173,8 @@ class ChannelTables:
         err = np.zeros((2, 2, 3, 3))
         population = np.zeros((2, 2, 3, 3, N_CUT + 1, N_CUT + 1))
         residual = 0.0
+        basis_i, bit_a_i, bit_b_i, bell_i = np.indices((2, 2, 2, 2))
+        is_error = bit_a_i != _sift_bits(basis_i, bell_i, bit_b_i)
         for ia in range(3):
             pmf_a = self.source_pmf["a"][ia]
             for ib in range(3):
@@ -180,7 +184,6 @@ class ChannelTables:
                         pol_a = _POL_INDEX[POLARIZATION[(basis, bit_a)]]
                         for bit_b in (0, 1):
                             pol_b = _POL_INDEX[POLARIZATION[(basis, bit_b)]]
-                            same = bit_a == bit_b
                             for n in range(N_CUT + 1):
                                 for m in range(N_CUT + 1):
                                     w = 0.25 * pmf_a[n] * pmf_b[m]
@@ -193,7 +196,7 @@ class ChannelTables:
                                         population[bell, basis_idx, ia, ib, n, m] += (
                                             w * p_bell[bell]
                                         )
-                                        if _is_error(basis_idx, same, bell):
+                                        if is_error[basis_idx, bit_a, bit_b, bell]:
                                             err[bell, basis_idx, ia, ib] += w * p_bell[bell]
         error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
         pz_a, pz_b = self.basis_z_prob["a"], self.basis_z_prob["b"]
@@ -246,31 +249,6 @@ class RateTable:
             p_basis = self.basis_match_probs[basis_idx]
             scaled[:, basis_idx] = n_pulses * p_basis * pa * pb * self.population[:, basis_idx]
         return scaled
-
-
-def _pack_key(pol_a, main_a, flip_a, pol_b, main_b, flip_b):
-    return ((((pol_a * 16 + main_a) * 16 + flip_a) * 4 + pol_b) * 16 + main_b) * 16 + flip_b
-
-
-def _unpack_key(packed: int):
-    flip_b = packed % 16
-    packed //= 16
-    main_b = packed % 16
-    packed //= 16
-    pol_b = packed % 4
-    packed //= 4
-    flip_a = packed % 16
-    packed //= 16
-    main_a = packed % 16
-    packed //= 16
-    return (
-        _POL_NAMES[packed],
-        main_a,
-        flip_a,
-        _POL_NAMES[pol_b],
-        main_b,
-        flip_b,
-    )
 
 
 @dataclass(frozen=True)
@@ -354,29 +332,6 @@ class SiftedData:
         mask = self._event_mask(1, bell_idx, 0, 0)
         errors = self.ev_alice_bit[mask] != self.ev_bob_bit[mask]
         return errors, self.ev_src_a[mask], self.ev_src_b[mask]
-
-    def to_csv(self, path) -> None:
-        header = "k,a,b,basis,alice_bit,bob_bit,alice_photons,bob_photons"
-        rows = np.column_stack(
-            [
-                self.ev_bell,
-                self.ev_ia,
-                self.ev_ib,
-                self.ev_basis,
-                self.ev_alice_bit,
-                self.ev_bob_bit,
-                self.ev_src_a,
-                self.ev_src_b,
-            ]
-        )
-        labels = np.array(INTENSITY_LABELS)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for bell, ia, ib, basis, abit, bbit, sa, sb in rows:
-                fh.write(
-                    f"{BELLS[bell]},{labels[ia]},{labels[ib]},{BASES[basis]},"
-                    f"{abit},{bbit},{sa},{sb}\n"
-                )
 
 
 class _EventBuffer:
@@ -569,13 +524,10 @@ def _process_heavy(tables: ChannelTables, class_a: np.ndarray, class_b: np.ndarr
     # basis 0 = Z (H/V by bit), basis 1 = X (D/A by bit)
     pol_a = basis_a * 2 + bit_a
     pol_b = basis_b * 2 + bit_b
-    zero = np.zeros(n, dtype=np.int64)
-    packed = _pack_key(pol_a, arr_a, zero, pol_b, arr_b, zero)
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    thresholds = tables.outcome_thresholds(uniq)[inverse]
+    probs = tables.relay_outcomes(pol_a, arr_a, pol_b, arr_b)
     u = rng.random(n)
-    is_minus = u < thresholds[:, 0]
-    is_plus = (~is_minus) & (u < thresholds[:, 1])
+    is_minus = u < probs[:, 0]
+    is_plus = (~is_minus) & (u < probs[:, 0] + probs[:, 1])
     announced = is_minus | is_plus
     recorded = announced & (basis_a == basis_b)
     if not recorded.any():

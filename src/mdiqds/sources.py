@@ -1,10 +1,9 @@
-"""Decoy-state transmitters, the lossy channel, and per-pulse records."""
+"""Decoy-state transmitters and the lossy channel."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ BASES = ("Z", "X")
 
 # Polarization prepared for (basis, bit).
 POLARIZATION = {("Z", 0): "H", ("Z", 1): "V", ("X", 0): "D", ("X", 1): "A"}
-ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D"}
 
 
 def truncated_poisson_pmf(mean: float, cutoff: int = N_CUT) -> np.ndarray:
@@ -36,11 +34,6 @@ def truncated_poisson_pmf(mean: float, cutoff: int = N_CUT) -> np.ndarray:
     pmf = np.exp(log_p)
     pmf[cutoff] += max(0.0, 1.0 - pmf.sum())
     return pmf
-
-
-@lru_cache(maxsize=64)
-def _truncated_poisson_cdf(mean: float) -> np.ndarray:
-    return np.cumsum(truncated_poisson_pmf(mean))
 
 
 @dataclass(frozen=True)
@@ -117,65 +110,3 @@ class SystemProfile:
         """Per-photon survival probability over one half-link by default."""
         d = self.half_link_km if distance_km is None else distance_km
         return 10.0 ** (-self.loss_coeff_db_per_km * d / 10.0)
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """One emitted (or propagated) pulse.
-
-    ``photon_number`` counts all photons in the pulse; ``photons_flipped``
-    counts the subset misaligned into the orthogonal polarization, which is
-    zero at the source and only populated by the channel.
-    """
-
-    party: str
-    intensity_label: str
-    basis: str
-    bit: int
-    photon_number: int
-    photons_flipped: int = 0
-
-    @property
-    def polarization(self) -> str:
-        return POLARIZATION[(self.basis, self.bit)]
-
-
-def sample_pulse(config: DecoySourceConfig, rng: np.random.Generator, party: str = "A") -> PulseRecord:
-    """Draw one pulse: intensity and basis per the configured mixing, a
-    uniform bit, and a truncated-Poisson photon number."""
-    labels = INTENSITY_LABELS
-    u = rng.random()
-    cdf = 0.0
-    label = labels[-1]
-    for cand in labels:
-        cdf += config.intensity_probs[cand]
-        if u < cdf:
-            label = cand
-            break
-    basis = "Z" if rng.random() < config.basis_probs["Z"] else "X"
-    bit = int(rng.integers(0, 2))
-    cdf = _truncated_poisson_cdf(config.intensities[label])
-    photon_number = int(np.searchsorted(cdf, rng.random(), side="right"))
-    photon_number = min(photon_number, N_CUT)
-    return PulseRecord(party, label, basis, bit, photon_number)
-
-
-def transmit(
-    pulse: PulseRecord,
-    profile: SystemProfile,
-    rng: np.random.Generator,
-    distance_km: float | None = None,
-) -> PulseRecord:
-    """Propagate a pulse over one half-link.
-
-    Each photon independently survives with probability
-    10^(-loss_coeff * distance / 10).  Polarization transport is unitary:
-    the constant frame mismatch between the two links (the profile's
-    misalignment) is applied coherently at the relay input, not here.
-    """
-    t = profile.transmittance(distance_km)
-    n_main = pulse.photon_number - pulse.photons_flipped
-    n_orth = pulse.photons_flipped
-    s_main = int(rng.binomial(n_main, t)) if n_main else 0
-    s_orth = int(rng.binomial(n_orth, t)) if n_orth else 0
-    return replace(pulse, photon_number=s_main + s_orth, photons_flipped=s_orth)

@@ -17,11 +17,10 @@ from mdiqds.protocol import (
     simulate_honest_batch,
     simulate_repudiating_alice,
 )
-from mdiqds.relay import FAILURE, PSI_MINUS, PSI_PLUS, RelayEngine, relay_bsm
 from mdiqds.scenario import EXIT_OK, run, scenario_from_dict
 from mdiqds.security import min_entropy_bound
 from mdiqds.session import ChannelTables, StopRule, run_kgp_session
-from mdiqds.sources import DecoySourceConfig, PulseRecord, SystemProfile
+from mdiqds.sources import DecoySourceConfig, SystemProfile
 
 from fock_oracle import outcome_probs
 from test_protocol import (
@@ -30,6 +29,7 @@ from test_protocol import (
     exact_repudiation,
     binom_cdf,
 )
+from test_relay import CONFIG, IDEAL, announce
 
 
 def report(criterion, ok, detail):
@@ -88,44 +88,38 @@ def test_criterion_2_table_replay():
 
 
 def test_criterion_3_relay_physics_oracle():
-    """Brute-force network evolution vs Monte-Carlo announcements, <1 min."""
+    """Brute-force network evolution vs Monte-Carlo announcements, <1 min.
+
+    Announcements are drawn as the session engine draws them: one uniform
+    per shot against the (P(psi_minus), P(psi_plus)) relay-table entry of
+    the input.
+    """
     start = time.time()
-    profile = SystemProfile(distance_km=0.0, detector_efficiency=1.0, dark_count_prob=0.0)
-    engine = RelayEngine.for_profile(profile)
+    tables = ChannelTables(CONFIG, CONFIG, IDEAL)
     rng = np.random.default_rng(2024)
+    # relay-table polarization indices: H = 0, V = 1; one photon per side
     inputs = {
-        "HV": (PulseRecord("A", "s", "Z", 0, 1), PulseRecord("B", "s", "Z", 1, 1),
-               [("a", "H"), ("b", "V")], 500_000),
-        "HH": (PulseRecord("A", "s", "Z", 0, 1), PulseRecord("B", "s", "Z", 0, 1),
-               [("a", "H"), ("b", "H")], 250_000),
-        "VV": (PulseRecord("A", "s", "Z", 1, 1), PulseRecord("B", "s", "Z", 1, 1),
-               [("a", "V"), ("b", "V")], 250_000),
-    }
-    valid_patterns = {
-        frozenset({"D1H", "D2V"}), frozenset({"D1V", "D2H"}),
-        frozenset({"D1H", "D1V"}), frozenset({"D2H", "D2V"}),
+        "HV": (0, 1, [("a", "H"), ("b", "V")], 500_000),
+        "HH": (0, 0, [("a", "H"), ("b", "H")], 250_000),
+        "VV": (1, 1, [("a", "V"), ("b", "V")], 250_000),
     }
     lines = []
     ok = True
-    for name, (pa, pb, photons, shots) in inputs.items():
+    for name, (pol_a, pol_b, photons, shots) in inputs.items():
         want_minus, want_plus, _ = outcome_probs(photons, eta=1.0, dark=0.0)
-        tally = {PSI_MINUS: 0, PSI_PLUS: 0, FAILURE: 0}
-        for _ in range(shots):
-            out = relay_bsm(pa, pb, profile, rng, engine)
-            tally[out.result] += 1
-            if out.result != FAILURE and out.click_pattern not in valid_patterns:
-                ok = False  # a phi-like pattern was announced
-        for result, want in ((PSI_MINUS, want_minus), (PSI_PLUS, want_plus)):
+        tally = dict(zip(("minus", "plus", "fail"),
+                         announce(tables, pol_a, 1, pol_b, 1, shots, rng).tolist()))
+        for result, want in (("minus", want_minus), ("plus", want_plus)):
             sigma = math.sqrt(max(shots * want * (1 - want), 1.0))
             if abs(tally[result] - shots * want) > 3 * sigma:
                 ok = False
         if name in ("HH", "VV"):
-            ok = ok and tally[FAILURE] == shots and want_minus == 0 and want_plus == 0
+            ok = ok and tally["fail"] == shots and want_minus == 0 and want_plus == 0
         else:
-            ok = ok and tally[FAILURE] == 0
+            ok = ok and tally["fail"] == 0
             ok = ok and want_minus == pytest.approx(0.5) and want_plus == pytest.approx(0.5)
-        lines.append(f"{name}: minus={tally[PSI_MINUS]} plus={tally[PSI_PLUS]} "
-                     f"fail={tally[FAILURE]} of {shots}")
+        lines.append(f"{name}: minus={tally['minus']} plus={tally['plus']} "
+                     f"fail={tally['fail']} of {shots}")
     elapsed = time.time() - start
     ok = ok and elapsed < 60.0
     report(3, ok, f"relay oracle in {elapsed:.1f}s; " + "; ".join(lines))

@@ -10,7 +10,6 @@ from mdiqds.entropy import (
     binary_entropy,
     binomial_tail_log2,
     chernoff_delta,
-    hoeffding_tail,
     inverse_binary_entropy,
     log2addexp,
     mu_parameter,
@@ -160,15 +159,6 @@ class TestDeviationFunctions:
             mu_parameter(x, y, z),
         ):
             assert math.isfinite(value)
-
-
-class TestHoeffdingTail:
-    def test_trivial(self):
-        assert hoeffding_tail(0.0, 12345) == 1.0
-        assert hoeffding_tail(0.7, 0) == 1.0
-
-    def test_value(self):
-        assert hoeffding_tail(0.1, 1000) == pytest.approx(4.54e-5, abs=1e-7)
 
 
 def test_log2addexp():

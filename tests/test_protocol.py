@@ -16,14 +16,12 @@ from mdiqds.protocol import (
     KeyRecord,
     distribute,
     sign,
-    sign_message,
     simulate_forging_bob,
     simulate_honest_batch,
     simulate_honest_run,
     simulate_repudiating_alice,
     symmetrize,
     verify,
-    verify_message,
 )
 
 # -- exact oracles -----------------------------------------------------------
@@ -191,28 +189,6 @@ class TestSignVerify:
         assert not transcript["transferability_failure"]
         assert transcript["bob"]["mismatches_direct"] == 0
         assert transcript["charlie"]["mismatches_forwarded"] == 0
-
-    def test_transcript_serializes(self):
-        import json
-
-        from mdiqds.protocol import transcript_to_json
-
-        transcript = simulate_honest_run(50, 0.0, 0.0, 0.1, 0.2, seed=5)
-        text = transcript_to_json(transcript)
-        assert json.loads(text) == transcript
-        assert transcript_to_json(transcript) == text
-
-    def test_multi_bit_message_iterates_per_bit(self):
-        rng = np.random.default_rng(41)
-        message = [1, 0, 1]
-        states = [distribute(20, 0.0, 0.0, rng) for _ in message]
-        declarations = sign_message(states, message)
-        assert [d.message for d in declarations] == message
-        keys = [state.bob_keys[bit] for state, bit in zip(states, message)]
-        results = verify_message(declarations, keys, 0.3, 20)
-        assert all(r.accepted for r in results)
-        with pytest.raises(ValidationError):
-            sign_message(states, [0, 1])
 
     def test_desk_scale_honest_abort_example(self):
         # tertile thresholds around a 1% channel at L = 10^4: the abort

@@ -5,44 +5,45 @@ import math
 import numpy as np
 import pytest
 
-from mdiqds.relay import (
-    FAILURE,
-    PSI_MINUS,
-    PSI_PLUS,
-    BsmOutcome,
-    RelayEngine,
-    classify_pattern,
-    occupation_distribution,
-    relay_bsm,
-    sift_bit,
-)
-from mdiqds.sources import PulseRecord, SystemProfile
+from mdiqds.relay import RelayEngine, occupation_distribution
+from mdiqds.session import ChannelTables, _sift_bits
+from mdiqds.sources import DecoySourceConfig, SystemProfile
 
 from fock_oracle import occupation_probs, outcome_probs
 
 IDEAL = SystemProfile(distance_km=0.0, detector_efficiency=1.0, dark_count_prob=0.0)
+CONFIG = DecoySourceConfig(
+    intensities={"s": 0.5, "d1": 0.1, "d2": 0.0},
+    intensity_probs={"s": 0.5, "d1": 0.25, "d2": 0.25},
+    basis_probs={"Z": 0.5, "X": 0.5},
+)
 
 
-def pulse(party, basis, bit, n, flipped=0):
-    return PulseRecord(party, "s", basis, bit, n, flipped)
+def engine_outcome(pol_a, k_a, pol_b, k_b, eta=1.0, dark=0.0):
+    return RelayEngine(eta, dark).outcome_probabilities(pol_a, k_a, pol_b, k_b)
 
 
-def engine_outcome(pol_a, k_a, l_a, pol_b, k_b, l_b, eta=1.0, dark=0.0):
-    engine = RelayEngine(eta, dark)
-    return engine.outcome_probabilities((pol_a, k_a, l_a, pol_b, k_b, l_b))
+def announce(tables, pol_a, k_a, pol_b, k_b, shots, rng):
+    """Counts of (psi_minus, psi_plus, failure) over ``shots`` copies of one
+    relay input (polarization indices H, V, D, A = 0..3), drawn as the
+    session engine draws them: one uniform per shot against the relay table."""
+    probs = tables.relay_outcomes(*(np.full(shots, i) for i in (pol_a, k_a, pol_b, k_b)))
+    u = rng.random(shots)
+    outcome = (u >= probs[:, 0]).astype(np.int64) + (u >= probs[:, 0] + probs[:, 1])
+    return np.bincount(outcome, minlength=3)
 
 
 class TestOccupationDistribution:
     @pytest.mark.parametrize(
         "config,photons",
         [
-            (("H", 1, 0, "V", 1, 0), [("a", "H"), ("b", "V")]),
-            (("H", 1, 0, "H", 1, 0), [("a", "H"), ("b", "H")]),
-            (("D", 1, 0, "D", 1, 0), [("a", "D"), ("b", "D")]),
-            (("D", 1, 0, "A", 1, 0), [("a", "D"), ("b", "A")]),
-            (("H", 2, 0, "V", 1, 0), [("a", "H"), ("a", "H"), ("b", "V")]),
-            (("H", 1, 1, "D", 1, 0), [("a", "H"), ("a", "V"), ("b", "D")]),
-            (("V", 2, 1, "A", 1, 1), [("a", "V")] * 2 + [("a", "H")] + [("b", "A"), ("b", "D")]),
+            (("H", 1, "V", 1), [("a", "H"), ("b", "V")]),
+            (("H", 1, "H", 1), [("a", "H"), ("b", "H")]),
+            (("D", 1, "D", 1), [("a", "D"), ("b", "D")]),
+            (("D", 1, "A", 1), [("a", "D"), ("b", "A")]),
+            (("H", 2, "V", 1), [("a", "H"), ("a", "H"), ("b", "V")]),
+            (("H", 2, "D", 1), [("a", "H"), ("a", "H"), ("b", "D")]),
+            (("V", 3, "A", 2), [("a", "V")] * 3 + [("b", "A")] * 2),
         ],
     )
     def test_matches_bruteforce(self, config, photons):
@@ -54,40 +55,40 @@ class TestOccupationDistribution:
             assert got[occ] == pytest.approx(want[occ], abs=1e-12), (config, occ)
 
     def test_normalized(self):
-        _, probs = occupation_distribution("D", 3, 1, "A", 2, 2)
+        _, probs = occupation_distribution("D", 4, "A", 4)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOutcomeProbabilities:
     def test_hv_ideal(self):
-        p_minus, p_plus = engine_outcome("H", 1, 0, "V", 1, 0)
+        p_minus, p_plus = engine_outcome("H", 1, "V", 1)
         assert p_minus == pytest.approx(0.5, abs=1e-12)
         assert p_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_hh_bunches(self):
-        p_minus, p_plus = engine_outcome("H", 1, 0, "H", 1, 0)
+        p_minus, p_plus = engine_outcome("H", 1, "H", 1)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
         assert p_plus == pytest.approx(0.0, abs=1e-12)
 
     def test_x_basis_correlations(self):
-        p_minus, p_plus = engine_outcome("D", 1, 0, "D", 1, 0)
+        p_minus, p_plus = engine_outcome("D", 1, "D", 1)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
         assert p_plus == pytest.approx(0.5, abs=1e-12)
-        p_minus, p_plus = engine_outcome("D", 1, 0, "A", 1, 0)
+        p_minus, p_plus = engine_outcome("D", 1, "A", 1)
         assert p_minus == pytest.approx(0.5, abs=1e-12)
         assert p_plus == pytest.approx(0.0, abs=1e-12)
 
     def test_vacuum_no_darks_fails(self):
-        p_minus, p_plus = engine_outcome("H", 0, 0, "H", 0, 0)
+        p_minus, p_plus = engine_outcome("H", 0, "H", 0)
         assert p_minus == 0.0 and p_plus == 0.0
 
     @pytest.mark.parametrize(
         "config,photons",
         [
-            (("H", 1, 0, "V", 1, 0), [("a", "H"), ("b", "V")]),
-            (("H", 2, 0, "V", 2, 0), [("a", "H")] * 2 + [("b", "V")] * 2),
-            (("D", 1, 1, "A", 2, 0), [("a", "D"), ("a", "A"), ("b", "A"), ("b", "A")]),
-            (("H", 0, 0, "V", 0, 0), []),
+            (("H", 1, "V", 1), [("a", "H"), ("b", "V")]),
+            (("H", 2, "V", 2), [("a", "H")] * 2 + [("b", "V")] * 2),
+            (("D", 2, "A", 2), [("a", "D")] * 2 + [("b", "A")] * 2),
+            (("H", 0, "V", 0), []),
         ],
     )
     def test_imperfect_detectors_vs_oracle(self, config, photons):
@@ -102,49 +103,23 @@ class TestRelayBsm:
     def test_monte_carlo_matches_oracle(self):
         rng = np.random.default_rng(7)
         shots = 20_000
-        tally = {PSI_MINUS: 0, PSI_PLUS: 0, FAILURE: 0}
-        a = pulse("A", "Z", 0, 1)
-        b = pulse("B", "Z", 1, 1)
-        engine = RelayEngine.for_profile(IDEAL)
-        for _ in range(shots):
-            tally[relay_bsm(a, b, IDEAL, rng, engine).result] += 1
-        assert tally[FAILURE] == 0
-        for key in (PSI_MINUS, PSI_PLUS):
-            sigma = math.sqrt(shots * 0.25)
-            assert abs(tally[key] - shots * 0.5) < 3 * sigma
+        tally = announce(ChannelTables(CONFIG, CONFIG, IDEAL), 0, 1, 1, 1, shots, rng)
+        want_minus, want_plus, _ = outcome_probs([("a", "H"), ("b", "V")])
+        assert tally[2] == 0
+        for count, want in zip(tally, (want_minus, want_plus)):
+            assert abs(count - shots * want) < 3 * math.sqrt(shots * want * (1 - want))
 
     def test_bunching_never_succeeds(self):
         rng = np.random.default_rng(11)
-        a = pulse("A", "Z", 0, 1)
-        b = pulse("B", "Z", 0, 1)
-        engine = RelayEngine.for_profile(IDEAL)
-        for _ in range(2000):
-            assert relay_bsm(a, b, IDEAL, rng, engine).result == FAILURE
+        tables = ChannelTables(CONFIG, CONFIG, IDEAL)
+        for pol in (0, 1):  # H/H and V/V
+            assert announce(tables, pol, 1, pol, 1, 2000, rng)[2] == 2000
 
     def test_vacuum_fails(self):
         rng = np.random.default_rng(3)
-        out = relay_bsm(pulse("A", "Z", 0, 0), pulse("B", "Z", 1, 0), IDEAL, rng)
-        assert out == BsmOutcome(FAILURE, frozenset())
-
-    def test_phi_patterns_are_failures(self):
-        assert classify_pattern(frozenset({0, 2})) == FAILURE  # D1H + D2H
-        assert classify_pattern(frozenset({1, 3})) == FAILURE  # D1V + D2V
-        assert classify_pattern(frozenset({0, 1, 2})) == FAILURE
-        assert classify_pattern(frozenset({0, 1, 2, 3})) == FAILURE
-        assert classify_pattern(frozenset({2})) == FAILURE
-
-    def test_never_reports_phi(self):
-        rng = np.random.default_rng(5)
-        profile = SystemProfile(
-            distance_km=0.0, detector_efficiency=0.5, dark_count_prob=0.05
-        )
-        engine = RelayEngine.for_profile(profile)
-        a = pulse("A", "X", 0, 2, flipped=1)
-        b = pulse("B", "Z", 1, 1)
-        seen = set()
-        for _ in range(5000):
-            seen.add(relay_bsm(a, b, profile, rng, engine).result)
-        assert seen <= {PSI_MINUS, PSI_PLUS, FAILURE}
+        tables = ChannelTables(CONFIG, CONFIG, IDEAL)
+        assert announce(tables, 0, 0, 1, 0, 2000, rng)[2] == 2000
+        assert tuple(tables.p_dark) == (0.0, 0.0)
 
 
 class TestOneSideAnnouncements:
@@ -159,19 +134,19 @@ class TestOneSideAnnouncements:
         engine = RelayEngine(eta, dark, mis)
         values = set()
         for pol in "HVDA":
-            for key in ((pol, 1, 0, "H", 0, 0), (pol, 0, 1, "H", 0, 0),
-                        ("H", 0, 0, pol, 1, 0), ("H", 0, 0, pol, 0, 1)):
-                p_minus, p_plus = engine.outcome_probabilities(key)
+            for key in ((pol, 1, "H", 0), ("H", 0, pol, 1)):
+                p_minus, p_plus = engine.outcome_probabilities(*key)
                 values.add((round(p_minus, 15), round(p_plus, 15)))
         assert len(values) == 1
 
 
 class TestSiftBit:
+    # bell 0 = psi_minus, bell 1 = psi_plus; basis 0 = Z, basis 1 = X
     def test_z_basis_flips(self):
-        assert sift_bit("Z", PSI_MINUS, 1) == 0
-        assert sift_bit("Z", PSI_PLUS, 0) == 1
+        bits = _sift_bits(np.array([0, 0]), np.array([0, 1]), np.array([1, 0]))
+        assert bits.tolist() == [0, 1]
 
     def test_x_basis(self):
         for bit in (0, 1):
-            assert sift_bit("X", PSI_PLUS, bit) == bit
-            assert sift_bit("X", PSI_MINUS, bit) == bit ^ 1
+            raw = np.array([bit, bit])
+            assert _sift_bits(np.array([1, 1]), np.array([1, 0]), raw).tolist() == [bit, bit ^ 1]

@@ -10,7 +10,7 @@ from mdiqds.errors import ValidationError
 from mdiqds.scenario import (
     EXIT_INFEASIBLE,
     EXIT_OK,
-    load_scenario,
+    read_scenario_file,
     render_report,
     run,
     scenario_from_dict,
@@ -21,7 +21,7 @@ class TestScenarioLoading:
     def test_defaults_follow_worked_example(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"mode": "analytic"}))
-        scenario = load_scenario(path, preset="standard")
+        scenario = scenario_from_dict(read_scenario_file(path), preset="standard")
         assert scenario.source_a.intensities == {"s": 0.18, "d1": 0.09, "d2": 5e-4}
         assert scenario.source_a.intensity_probs == {"s": 0.5, "d1": 0.25, "d2": 0.25}
         assert scenario.source_a.basis_probs == {"Z": 0.625, "X": 0.375}
@@ -58,13 +58,13 @@ class TestScenarioLoading:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
-            load_scenario(tmp_path / "nope.json")
+            read_scenario_file(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
-            load_scenario(path)
+            read_scenario_file(path)
 
 
 class TestRunModes:
@@ -141,13 +141,18 @@ class TestCli:
         assert payload["security"]["feasible"] is True
 
     def test_tables_csv(self, tmp_path):
+        # --format overrides the config file's format as well
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"mode": "analytic", "format": "json"}))
         runner = CliRunner()
-        out = tmp_path / "rows.csv"
-        result = runner.invoke(main, ["tables", "--format", "csv", "--out", str(out)])
-        assert result.exit_code == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "security,detector,eta_d,y_0,n_sig,t_r_minutes"
-        assert len(lines) == 9
+        for extra in ([], ["--config", str(path)]):
+            out = tmp_path / "rows.csv"
+            args = ["tables", "--format", "csv", "--out", str(out)] + extra
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            lines = out.read_text().strip().split("\n")
+            assert lines[0] == "security,detector,eta_d,y_0,n_sig,t_r_minutes"
+            assert len(lines) == 9
 
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Source sampling and channel propagation."""
+"""Source configuration, the truncated photon-number model and the channel."""
 
 import math
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mdiqds.errors import ValidationError
+from mdiqds.relay import RelayEngine
+from mdiqds.session import _POL_NAMES, ChannelTables, StopRule, run_kgp_session
 from mdiqds.sources import (
+    POLARIZATION,
     DecoySourceConfig,
-    PulseRecord,
     SystemProfile,
-    sample_pulse,
-    transmit,
     truncated_poisson_pmf,
 )
 
@@ -56,42 +56,36 @@ def test_truncated_pmf_folds_tail():
 
 class TestSamplePulse:
     def test_vacuum_source(self):
+        # only dark coincidences announce, and every recorded event carries
+        # zero source photons from either side
         cfg = DecoySourceConfig(
             intensities={"s": 0.3, "d1": 0.1, "d2": 0.0},
             intensity_probs={"s": 0.0, "d1": 0.0, "d2": 1.0},
             basis_probs={"Z": 1.0, "X": 0.0},
         )
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            assert sample_pulse(cfg, rng).photon_number == 0
-
-    def test_statistics_match_configuration(self):
-        rng = np.random.default_rng(42)
-        n = 1_000_000
-        photons = np.empty(n)
-        z_count = 0
-        signal = 0
-        for i in range(n):
-            p = sample_pulse(PUBLISHED_CONFIG, rng)
-            if p.intensity_label == "s":
-                photons[signal] = p.photon_number
-                signal += 1
-            z_count += p.basis == "Z"
-        mean = photons[:signal].mean()
-        sigma_mean = math.sqrt(0.18 / signal)
-        assert abs(mean - 0.18) < 3 * sigma_mean
-        sigma_z = math.sqrt(0.625 * 0.375 / n)
-        assert abs(z_count / n - 0.625) < 3 * sigma_z
-        sigma_s = math.sqrt(0.5 * 0.5 / n)
-        assert abs(signal / n - 0.5) < 3 * sigma_s
+        profile = SystemProfile(distance_km=0.0, dark_count_prob=0.01)
+        sd = run_kgp_session(cfg, cfg, profile, StopRule(total_pulses=200_000), seed=0)
+        assert len(sd.ev_src_a) > 0
+        assert not sd.ev_src_a.any() and not sd.ev_src_b.any()
+        assert np.all(sd.ev_ia == 2) and np.all(sd.ev_ib == 2)
 
 
 class TestTransmit:
     def test_identity_channel(self):
-        profile = SystemProfile(distance_km=0.0)
-        rng = np.random.default_rng(1)
-        p = PulseRecord("A", "s", "Z", 0, 3)
-        assert transmit(p, profile, rng) == p
+        tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, SystemProfile(distance_km=0.0))
+        assert np.array_equal(tables.binom_survive, np.eye(tables.binom_survive.shape[0]))
+        assert np.array_equal(tables.arrive_pmf["a"], tables.source_pmf["a"])
+
+    def test_transmit_is_loss_only(self):
+        # the frame mismatch is applied coherently at the relay, not to the
+        # arriving photon numbers
+        aligned = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, SystemProfile(distance_km=20.0))
+        crossed = ChannelTables(
+            PUBLISHED_CONFIG, PUBLISHED_CONFIG, SystemProfile(distance_km=20.0, misalignment=1.0)
+        )
+        assert np.array_equal(aligned.binom_survive, crossed.binom_survive)
+        for party in "ab":
+            assert np.array_equal(aligned.arrive_pmf[party], crossed.arrive_pmf[party])
 
     def test_transmittance_formula(self):
         profile = SystemProfile(distance_km=50.0, loss_coeff_db_per_km=0.2)
@@ -101,46 +95,35 @@ class TestTransmit:
         assert profile.transmittance() == pytest.approx(10 ** -0.5, rel=1e-12)
 
     def test_survival_statistics(self):
+        # row n of the survival matrix is the binomial(n, t) law of the
+        # photons that outlive one half-link
         profile = SystemProfile(distance_km=50.0, loss_coeff_db_per_km=0.2)
         t = profile.transmittance()
-        rng = np.random.default_rng(2)
-        n, shots = 4, 50_000
-        survivors = sum(
-            transmit(PulseRecord("A", "s", "Z", 0, n), profile, rng).photon_number
-            for _ in range(shots)
-        )
-        mean = survivors / shots
-        sigma = math.sqrt(n * t * (1 - t) / shots)
-        assert abs(mean - n * t) < 3 * sigma
-
-    def test_transmit_is_loss_only(self):
-        # the frame mismatch is applied coherently at the relay, not here
-        profile = SystemProfile(distance_km=0.0, misalignment=1.0)
-        rng = np.random.default_rng(3)
-        out = transmit(PulseRecord("B", "s", "Z", 1, 5), profile, rng)
-        assert out.photon_number == 5
-        assert out.photons_flipped == 0
+        survive = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).binom_survive
+        k = np.arange(survive.shape[1])
+        for n, row in enumerate(survive):
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(row[n + 1:] == 0.0)
+            assert row @ k == pytest.approx(n * t, rel=1e-12)
+            assert row @ (k - n * t) ** 2 == pytest.approx(n * t * (1 - t), abs=1e-12)
+        assert survive[4, 2] == pytest.approx(6 * t**2 * (1 - t) ** 2, rel=1e-12)
 
     def test_full_misalignment_crosses_frames_at_relay(self):
-        from mdiqds.relay import RelayEngine
-
         profile = SystemProfile(
             distance_km=0.0, misalignment=1.0, detector_efficiency=1.0
         )
         engine = RelayEngine.for_profile(profile)
         # with the frames fully crossed, same-bit single photons interfere
         # like orthogonal ones and announce with certainty
-        p_minus, p_plus = engine.outcome_probabilities(("H", 1, 0, "H", 1, 0))
+        p_minus, p_plus = engine.outcome_probabilities("H", 1, "H", 1)
         assert p_minus == pytest.approx(0.5, abs=1e-12)
         assert p_plus == pytest.approx(0.5, abs=1e-12)
         # while opposite-bit photons now bunch and never announce
-        p_minus, p_plus = engine.outcome_probabilities(("H", 1, 0, "V", 1, 0))
+        p_minus, p_plus = engine.outcome_probabilities("H", 1, "V", 1)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
         assert p_plus == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_misalignment_flip_probability(self):
-        from mdiqds.relay import RelayEngine
-
         # a lone photon from party B, measured in A's frame, is orthogonal
         # with probability equal to the misalignment knob
         mis = 0.07
@@ -148,20 +131,13 @@ class TestTransmit:
             distance_km=0.0, misalignment=mis, detector_efficiency=1.0
         )
         engine = RelayEngine.for_profile(profile)
-        p_minus, p_plus = engine.outcome_probabilities(("H", 1, 0, "H", 1, 0))
+        p_minus, p_plus = engine.outcome_probabilities("H", 1, "H", 1)
         assert p_minus + p_plus == pytest.approx(mis, abs=1e-12)
-        p_minus, p_plus = engine.outcome_probabilities(("H", 1, 0, "V", 1, 0))
+        p_minus, p_plus = engine.outcome_probabilities("H", 1, "V", 1)
         assert p_minus + p_plus == pytest.approx(1.0 - mis, abs=1e-12)
 
-    def test_orthogonal_photons_survive_loss_bookkeeping(self):
-        profile = SystemProfile(distance_km=0.0)
-        rng = np.random.default_rng(5)
-        out = transmit(PulseRecord("A", "s", "Z", 0, 4, photons_flipped=2), profile, rng)
-        assert out.photon_number == 4
-        assert out.photons_flipped == 2
-
     def test_polarization_mapping(self):
-        assert PulseRecord("A", "s", "Z", 0, 1).polarization == "H"
-        assert PulseRecord("A", "s", "Z", 1, 1).polarization == "V"
-        assert PulseRecord("A", "s", "X", 0, 1).polarization == "D"
-        assert PulseRecord("A", "s", "X", 1, 1).polarization == "A"
+        # the session engine indexes the relay table by basis * 2 + bit
+        for (basis, bit), pol in POLARIZATION.items():
+            assert _POL_NAMES["ZX".index(basis) * 2 + bit] == pol
+        assert POLARIZATION == {("Z", 0): "H", ("Z", 1): "V", ("X", 0): "D", ("X", 1): "A"}
