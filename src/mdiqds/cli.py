@@ -27,7 +27,7 @@ def _load(config, preset, mode, seed, scale, output_format):
 
 
 def _emit(code: int, payload: dict, out: str | None, output_format: str):
-    if output_format == "csv" and payload.get("mode") == "table-sweep":
+    if output_format == "csv":
         text = table_rows_to_csv(payload["rows"])
     else:
         text = render_report(payload)

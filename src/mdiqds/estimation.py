@@ -106,14 +106,12 @@ class PhotonPopulation:
     photons.  Columns are normalized over the nine intensity pairs.
     ``pair_pmf[n, m]`` is the marginal photon-pair distribution of one
     basis-matched pulse, which caps how many (n, m) events a session of a
-    given length can contain.  ``s_knm`` optionally carries a simulator
-    ground truth for validation.
+    given length can contain.
     """
 
     conditional: np.ndarray
     pair_pmf: np.ndarray
     basis_pair_prob: dict[str, float]
-    s_knm: np.ndarray | None = None
 
 
 def photon_population(
@@ -416,25 +414,40 @@ def upper_bound_e_k1(n_k1: int, aux: XBasisAux, budget: ErrorBudget) -> float:
     return min(max(count / n_k1, 0.0), 1.0)
 
 
-def observed_error_rate(
-    sifted: SiftedData, bell: int, r_k: int, rng: np.random.Generator
-) -> tuple[float, np.ndarray]:
-    """Spend r_k random signal-signal Z bits on error estimation.
+# numpy's hypergeometric sampler needs fewer than 1e9 items of each kind
+_HYPERGEOMETRIC_LIMIT = 10**9
 
-    Returns the observed mismatch fraction and the indices (into the
-    signal-signal Z event list) of the surviving code positions.
+
+def _hypergeometric(good: int, bad: int, draws: int, rng: np.random.Generator) -> int:
+    """Number of good items among ``draws`` taken without replacement.
+
+    Beyond numpy's limit the population is split into two halves: how many
+    draws land in the first half is itself hypergeometric, and each half is
+    then sampled on its own, so the draw stays exact.
     """
-    alice, bob = sifted.signal_z_bits(bell)
-    size = len(alice)
+    if good < _HYPERGEOMETRIC_LIMIT and bad < _HYPERGEOMETRIC_LIMIT:
+        return int(rng.hypergeometric(good, bad, draws))
+    if good + bad > 2 * _HYPERGEOMETRIC_LIMIT - 3:
+        raise DomainError(f"population {good + bad} too large to sample exactly")
+    good_1, bad_1 = good // 2, bad // 2
+    first = int(rng.hypergeometric(good_1 + bad_1, good - good_1 + bad - bad_1, draws))
+    return _hypergeometric(good_1, bad_1, first, rng) + _hypergeometric(
+        good - good_1, bad - bad_1, draws - first, rng
+    )
+
+
+def observed_error_rate(size: int, errors: int, r_k: int, rng: np.random.Generator) -> float:
+    """Spend r_k random bits of a signal-signal Z set of ``size`` bits, of
+    which ``errors`` mismatch, on error estimation.
+
+    The mismatches in the sample follow the hypergeometric law of drawing
+    r_k bits without replacement; returns their fraction.
+    """
     if r_k < 1 or r_k >= size:
         raise DegenerateSessionError(
             f"need 1 <= R_k < |Z_ss| = {size}, got R_k = {r_k}"
         )
-    order = rng.permutation(size)
-    sample = order[:r_k]
-    code = order[r_k:]
-    e_obs = float(np.mean(alice[sample] != bob[sample]))
-    return e_obs, code
+    return _hypergeometric(errors, size - errors, r_k, rng) / r_k
 
 
 def true_error_upper_bound(e_obs: float, n_half: int, r_k: int, eps_pe: float) -> float:
@@ -469,32 +482,14 @@ class YieldEstimate:
         return self.n_k // 2
 
     def to_dict(self) -> dict:
-        out = {
-            "bell": self.bell,
-            "n_k": self.n_k,
-            "r_k": self.r_k,
-            "e_obs": self.e_obs,
-            "e_upper": self.e_upper,
-            "m_k0": self.m_k0,
-            "m_k1": self.m_k1,
-            "n_k0": self.n_k0,
-            "n_k1": self.n_k1,
-            "e_k1": self.e_k1,
-            "n_bar_k1": self.n_bar_k1,
-            "e_bar_k1": self.e_bar_k1,
-            "validity_ok": self.validity_ok,
-            "usable": self.usable,
-            "abort_reason": self.abort_reason,
-        }
-        for name, value in self.budget.to_dict().items():
-            out[name] = value
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "budget"}
+        out.update(self.budget.to_dict())
         return out
 
 
 @dataclass
 class EstimationResult:
     estimates: dict[int, YieldEstimate]
-    keep_indices: dict[int, np.ndarray]
 
     def best_bell(self) -> int:
         """The Bell state whose code string has the smallest phase error."""
@@ -521,9 +516,8 @@ def estimate_yields(
     pop = photon_population(config_a, config_b)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
     estimates: dict[int, YieldEstimate] = {}
-    keep_indices = {}
     for bell in (0, 1):
-        size = len(sifted.signal_z_bits(bell)[0])
+        size = int(sifted.z_counts[bell, 0, 0])
         r_k = int(round(r_fraction * size))
         est = YieldEstimate(
             bell=bell, n_k=0, r_k=0, e_obs=0.0, e_upper=1.0,
@@ -535,16 +529,11 @@ def estimate_yields(
         if size < 4 or r_k < 1 or size - r_k < 2:
             est.abort_reason = f"signal-signal Z set too small ({size})"
             continue
-        e_obs, code = observed_error_rate(sifted, bell, r_k, rng)
-        if (size - r_k) % 2 == 1:  # keep/forward split needs an even code string
-            code = code[:-1]
-        n_k = len(code)
-        n_half = n_k // 2
-        keep = code[:n_half]
-        est.n_k = n_k
         est.r_k = r_k
-        est.e_obs = e_obs
-        est.e_upper = true_error_upper_bound(e_obs, n_half, r_k, budget.eps_pe)
+        est.e_obs = observed_error_rate(size, int(sifted.z_errors[bell, 0, 0]), r_k, rng)
+        est.n_k = (size - r_k) // 2 * 2  # keep/forward split needs an even code string
+        n_half = est.n_half
+        est.e_upper = true_error_upper_bound(est.e_obs, n_half, r_k, budget.eps_pe)
         est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
         try:
             est.m_k0 = lower_bound_m_k0(sifted, bell, pop, budget)
@@ -554,7 +543,6 @@ def estimate_yields(
             continue
         est.n_k0 = serfling_scale(est.m_k0, size, n_half, budget.eps_k0_serfling)
         est.n_k1 = serfling_scale(est.m_k1, size, n_half, budget.eps_k1_serfling)
-        keep_indices[bell] = keep
         try:
             aux = x_basis_bounds(sifted, bell, pop, budget, method=x_error_method)
             est.n_bar_k1 = aux.n_bar_k1
@@ -565,4 +553,4 @@ def estimate_yields(
             est.e_k1 = 1.0
             continue
         est.usable = True
-    return EstimationResult(estimates=estimates, keep_indices=keep_indices)
+    return EstimationResult(estimates=estimates)

@@ -53,6 +53,8 @@ class Scenario:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.output_format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}")
+        if self.output_format == "csv" and self.mode != "table-sweep":
+            raise ValidationError("format csv is only available for the table sweep")
         if self.scale_factor < 1:
             raise ValidationError("scale_factor must be >= 1")
         if self.mode in ("montecarlo", "protocol") and self.seed is None:

@@ -203,12 +203,6 @@ class SecurityReport:
         if not 0.0 <= self.pr_honest_abort <= 1.0:
             raise DomainError("honest abort probability out of range")
 
-    def to_csv_row(self, detector: str, eta_d: float, y_0: float) -> str:
-        """One benchmark-style CSV row: detector,eta_d,y_0,n_sig,t_r_minutes."""
-        return (
-            f"{detector},{eta_d},{y_0},{self.n_sig},{self.t_r_seconds / 60.0}"
-        )
-
     def to_dict(self) -> dict:
         return {
             "n_k": self.n_k,

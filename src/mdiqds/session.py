@@ -19,7 +19,7 @@ brute-force Fock oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,13 +277,19 @@ class StopRule:
         return self.min_z_per_set is not None or self.min_x_per_set is not None
 
 
+def _no_events() -> np.ndarray:
+    return np.empty(0, dtype=np.int8)
+
+
 @dataclass
 class SiftedData:
     """Accumulated sifting output of one key-generation session.
 
-    Per-event records are kept for every announced coincidence: Bell state,
-    basis, intensity pair, the paired bits after Bob's flip, and the true
-    source photon numbers (ground truth, for estimator validation only).
+    The estimators read only the counts.  A Monte-Carlo session also keeps
+    per-event records of every announced coincidence: Bell state, basis,
+    intensity pair, the paired bits after Bob's flip, and the true source
+    photon numbers (ground truth, for estimator validation only).  The
+    closed-form session of `expected_sifted_data` leaves them empty.
     """
 
     n_pulses: int
@@ -292,23 +298,14 @@ class SiftedData:
     z_errors: np.ndarray
     x_errors: np.ndarray
     population: np.ndarray
-    ev_bell: np.ndarray
-    ev_basis: np.ndarray
-    ev_ia: np.ndarray
-    ev_ib: np.ndarray
-    ev_alice_bit: np.ndarray
-    ev_bob_bit: np.ndarray
-    ev_src_a: np.ndarray
-    ev_src_b: np.ndarray
-
-    @property
-    def n_signals_sent(self) -> int:
-        """Pulses drawn by the non-Alice party (equal for both parties)."""
-        return self.n_pulses
-
-    def set_size(self, basis: str, bell_idx: int, ia: int, ib: int) -> int:
-        counts = self.z_counts if basis == "Z" else self.x_counts
-        return int(counts[bell_idx, ia, ib])
+    ev_bell: np.ndarray = field(default_factory=_no_events)
+    ev_basis: np.ndarray = field(default_factory=_no_events)
+    ev_ia: np.ndarray = field(default_factory=_no_events)
+    ev_ib: np.ndarray = field(default_factory=_no_events)
+    ev_alice_bit: np.ndarray = field(default_factory=_no_events)
+    ev_bob_bit: np.ndarray = field(default_factory=_no_events)
+    ev_src_a: np.ndarray = field(default_factory=_no_events)
+    ev_src_b: np.ndarray = field(default_factory=_no_events)
 
     def _event_mask(self, basis_idx, bell_idx, ia, ib):
         return (
@@ -317,11 +314,6 @@ class SiftedData:
             & (self.ev_ia == ia)
             & (self.ev_ib == ib)
         )
-
-    def signal_z_bits(self, bell_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Paired (alice, bob) bits of the signal-signal Z set."""
-        mask = self._event_mask(0, bell_idx, 0, 0)
-        return self.ev_alice_bit[mask], self.ev_bob_bit[mask]
 
     def signal_z_source_photons(self, bell_idx: int) -> tuple[np.ndarray, np.ndarray]:
         mask = self._event_mask(0, bell_idx, 0, 0)
@@ -659,59 +651,21 @@ def _spread_counts(total: int, weights: np.ndarray) -> np.ndarray:
 def expected_sifted_data(rates: RateTable, n_pulses: float) -> SiftedData:
     """Deterministic session whose counts equal the rounded closed-form
     expectations.  Used to size budgets and to exercise the estimators at
-    scales a desk cannot simulate."""
+    scales a desk cannot simulate; it holds counts only, so its size does
+    not grow with the pulse budget."""
     sizes = rates.expected_set_sizes(n_pulses)
     pop_expected = rates.expected_population(n_pulses)
     z_counts = np.round(sizes["Z"]).astype(np.int64)
     x_counts = np.round(sizes["X"]).astype(np.int64)
-    z_errors = np.round(sizes["Z"] * rates.error_rate[:, 0]).astype(np.int64)
-    x_errors = np.round(sizes["X"] * rates.error_rate[:, 1]).astype(np.int64)
-
+    counts = np.stack([z_counts, x_counts], axis=1)  # (bell, basis, ia, ib)
     population = np.zeros_like(pop_expected, dtype=np.int64)
-    ev = {name: [] for name in ("bell", "basis", "ia", "ib", "abit", "bbit", "srca", "srcb")}
-    for bell in range(2):
-        for basis, counts, errors in ((0, z_counts, z_errors), (1, x_counts, x_errors)):
-            for ia in range(3):
-                for ib in range(3):
-                    total = int(counts[bell, ia, ib])
-                    if total == 0:
-                        continue
-                    cell = _spread_counts(total, pop_expected[bell, basis, ia, ib])
-                    population[bell, basis, ia, ib] = cell
-                    if ia == 0 and ib == 0:
-                        n_err = int(errors[bell, ia, ib])
-                        abit = np.zeros(total, dtype=np.int8)
-                        bbit = np.zeros(total, dtype=np.int8)
-                        bbit[:n_err] ^= 1
-                        src = np.repeat(
-                            np.arange(cell.size), cell.reshape(-1)
-                        ).astype(np.int16)
-                        srca, srcb = np.divmod(src, N_CUT + 1)
-                        ev["bell"].append(np.full(total, bell, dtype=np.int8))
-                        ev["basis"].append(np.full(total, basis, dtype=np.int8))
-                        ev["ia"].append(np.full(total, ia, dtype=np.int8))
-                        ev["ib"].append(np.full(total, ib, dtype=np.int8))
-                        ev["abit"].append(abit)
-                        ev["bbit"].append(bbit)
-                        ev["srca"].append(srca.astype(np.int8))
-                        ev["srcb"].append(srcb.astype(np.int8))
-
-    def cat(name):
-        return np.concatenate(ev[name]) if ev[name] else np.empty(0, dtype=np.int8)
-
+    for cell in np.ndindex(counts.shape):
+        population[cell] = _spread_counts(int(counts[cell]), pop_expected[cell])
     return SiftedData(
         n_pulses=int(n_pulses),
         z_counts=z_counts,
         x_counts=x_counts,
-        z_errors=z_errors,
-        x_errors=x_errors,
+        z_errors=np.round(sizes["Z"] * rates.error_rate[:, 0]).astype(np.int64),
+        x_errors=np.round(sizes["X"] * rates.error_rate[:, 1]).astype(np.int64),
         population=population,
-        ev_bell=cat("bell"),
-        ev_basis=cat("basis"),
-        ev_ia=cat("ia"),
-        ev_ib=cat("ib"),
-        ev_alice_bit=cat("abit"),
-        ev_bob_bit=cat("bbit"),
-        ev_src_a=cat("srca"),
-        ev_src_b=cat("srcb"),
     )

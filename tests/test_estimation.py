@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mdiqds import estimation
 from mdiqds.errors import DegenerateSessionError, DomainError
 from mdiqds.estimation import (
     ErrorBudget,
@@ -82,14 +83,6 @@ def make_sifted(z_counts, x_counts=None, z_errors=None, x_errors=None):
         z_errors=np.array(z_errors, dtype=np.int64) if z_errors is not None else empty.copy(),
         x_errors=np.array(x_errors, dtype=np.int64) if x_errors is not None else empty.copy(),
         population=np.zeros((2, 2, 3, 3, 11, 11), dtype=np.int64),
-        ev_bell=np.empty(0, dtype=np.int64),
-        ev_basis=np.empty(0, dtype=np.int64),
-        ev_ia=np.empty(0, dtype=np.int64),
-        ev_ib=np.empty(0, dtype=np.int64),
-        ev_alice_bit=np.empty(0, dtype=np.int64),
-        ev_bob_bit=np.empty(0, dtype=np.int64),
-        ev_src_a=np.empty(0, dtype=np.int64),
-        ev_src_b=np.empty(0, dtype=np.int64),
     )
 
 
@@ -300,46 +293,21 @@ class TestPhaseError:
 
 
 class TestObservedErrorRate:
-    def _sifted_with_bits(self, alice, bob):
-        sd = make_sifted(np.zeros((2, 3, 3)))
-        n = len(alice)
-        sd.z_counts[0, 0, 0] = n
-        sd.ev_bell = np.zeros(n, dtype=np.int64)
-        sd.ev_basis = np.zeros(n, dtype=np.int64)
-        sd.ev_ia = np.zeros(n, dtype=np.int64)
-        sd.ev_ib = np.zeros(n, dtype=np.int64)
-        sd.ev_alice_bit = np.array(alice)
-        sd.ev_bob_bit = np.array(bob)
-        sd.ev_src_a = np.zeros(n, dtype=np.int64)
-        sd.ev_src_b = np.zeros(n, dtype=np.int64)
-        return sd
-
     def test_identical_strings(self):
-        bits = np.ones(30, dtype=np.int64)
-        sd = self._sifted_with_bits(bits, bits)
-        e, code = observed_error_rate(sd, 0, 10, np.random.default_rng(0))
-        assert e == 0.0
-        assert len(code) == 20
+        assert observed_error_rate(30, 0, 10, np.random.default_rng(0)) == 0.0
 
     def test_complementary_strings(self):
-        bits = np.zeros(30, dtype=np.int64)
-        sd = self._sifted_with_bits(bits, bits ^ 1)
-        e, _ = observed_error_rate(sd, 0, 10, np.random.default_rng(0))
-        assert e == 1.0
+        assert observed_error_rate(30, 30, 10, np.random.default_rng(0)) == 1.0
 
-    def test_hypergeometric_law(self):
-        size, w, r_k = 24, 8, 6
-        alice = np.zeros(size, dtype=np.int64)
-        bob = np.zeros(size, dtype=np.int64)
-        bob[:w] = 1
-        sd = self._sifted_with_bits(alice, bob)
+    def _chi2_against_pmf(self, w):
+        size, r_k = 24, 6
         rng = np.random.default_rng(3)
         draws = 30_000
         counts = np.zeros(r_k + 1)
         for _ in range(draws):
-            e, _ = observed_error_rate(sd, 0, r_k, rng)
+            e = observed_error_rate(size, w, r_k, rng)
             counts[round(e * r_k)] += 1
-        # brute-force hypergeometric pmf
+        # brute-force pmf of sampling r_k of the size bits without replacement
         pmf = np.array(
             [
                 math.comb(w, k) * math.comb(size - w, r_k - k) / math.comb(size, r_k)
@@ -350,10 +318,35 @@ class TestObservedErrorRate:
         dof = r_k
         assert chi2 < dof + 5 * math.sqrt(2 * dof)
 
+    def test_hypergeometric_law(self):
+        self._chi2_against_pmf(8)
+
+    def test_split_follows_hypergeometric_law(self, monkeypatch):
+        # a limit of 14 splits 9 errors and 15 matches into unequal halves
+        monkeypatch.setattr(estimation, "_HYPERGEOMETRIC_LIMIT", 14)
+        self._chi2_against_pmf(9)
+
+    def test_split_moments_beyond_numpy_limit(self):
+        # the signal-signal Z set of the snspd preset at the search's 2e13 cap
+        errors, size, r_k = 26_000_000, 1_286_000_000, 71_000_000
+        rng = np.random.default_rng(8)
+        draws = 4000
+        found = np.array(
+            [observed_error_rate(size, errors, r_k, rng) * r_k for _ in range(draws)]
+        )
+        p = errors / size
+        mean = r_k * p
+        var = r_k * p * (1 - p) * (size - r_k) / (size - 1)
+        assert abs(found.mean() - mean) < 4 * math.sqrt(var / draws)
+        assert abs(found.var(ddof=1) / var - 1) < 4 * math.sqrt(2 / (draws - 1))
+
+    def test_population_too_large_to_split(self):
+        with pytest.raises(DomainError):
+            observed_error_rate(3 * 10**9, 10**8, 10**6, np.random.default_rng(0))
+
     def test_insufficient_data(self):
-        sd = self._sifted_with_bits(np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64))
         with pytest.raises(DegenerateSessionError):
-            observed_error_rate(sd, 0, 5, np.random.default_rng(0))
+            observed_error_rate(5, 0, 5, np.random.default_rng(0))
 
 
 class TestTrueErrorUpperBound:
@@ -404,13 +397,15 @@ class TestEstimateYields:
         res = estimate_yields(
             rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3
         )
+        rng = np.random.default_rng(3)
         checked = 0
         for bell, est in res.estimates.items():
-            if bell not in res.keep_indices:
+            if est.n_k == 0:
                 continue
             checked += 1
-            keep = res.keep_indices[bell]
             src_a, src_b = rich_session.signal_z_source_photons(bell)
+            # the bounds hold for a uniformly random keep half of the code string
+            keep = rng.choice(len(src_a), est.n_half, replace=False)
             true_vacuum = int(np.sum(src_b[keep] == 0))
             true_single = int(np.sum((src_a[keep] == 1) & (src_b[keep] == 1)))
             assert est.n_k1 > 0  # the desk design resolves the single-pair bound
@@ -446,8 +441,13 @@ class TestEstimateYields:
             rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3
         )
         payload = res.estimates[0].to_dict()
-        for name in ("n_k0", "n_k1", "e_k1", "m_k0", "m_k1", "eps_pe", "eps_k0", "eps_k1", "eps_ke"):
-            assert name in payload
+        estimate_keys = {
+            "bell", "n_k", "r_k", "e_obs", "e_upper", "m_k0", "m_k1", "n_k0", "n_k1",
+            "e_k1", "n_bar_k1", "e_bar_k1", "validity_ok", "usable", "abort_reason",
+        }
+        assert set(payload) == estimate_keys | set(DESK_BUDGET.to_dict())
+        assert payload["eps_pe"] == DESK_BUDGET.eps_pe
+        assert payload["eps_ke"] == DESK_BUDGET.eps_ke
 
     def test_degenerate_session_flagged(self):
         sd = make_sifted(np.zeros((2, 3, 3)))

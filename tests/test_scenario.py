@@ -154,6 +154,13 @@ class TestCli:
             assert lines[0] == "security,detector,eta_d,y_0,n_sig,t_r_minutes"
             assert len(lines) == 9
 
+    def test_csv_only_for_tables(self):
+        runner = CliRunner()
+        for mode in ("analytic", "simulate", "protocol"):
+            result = runner.invoke(main, [mode, "--seed", "1", "--format", "csv"])
+            assert result.exit_code == 3
+            assert "csv" in result.output
+
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mode": "analytic", "profile": {"misalignment": 2}}))

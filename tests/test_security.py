@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mdiqds.entropy import binary_entropy, binomial_tail_log2
+from mdiqds import presets
 from mdiqds.errors import DomainError, InfeasibleBoundsError
-from mdiqds.estimation import ErrorBudget, YieldEstimate, true_error_upper_bound
+from mdiqds.estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
 from mdiqds.security import (
     build_security_report,
     choose_thresholds,
@@ -19,7 +20,7 @@ from mdiqds.security import (
     signature_length_search,
     solve_p_e,
 )
-from mdiqds.session import ChannelTables
+from mdiqds.session import ChannelTables, expected_sifted_data
 from mdiqds.sources import DecoySourceConfig, SystemProfile
 
 BUDGET = ErrorBudget()
@@ -234,13 +235,6 @@ class TestSecurityReport:
         assert large.pr_repudiation <= small.pr_repudiation
         assert large.pr_forge <= small.pr_forge
 
-    def test_csv_row(self):
-        row = replay_report().to_csv_row("standard", 0.145, 6.02e-6)
-        fields = row.split(",")
-        assert fields[0] == "standard"
-        assert float(fields[3]) == 5.58e12
-        assert float(fields[4]) == pytest.approx(93.0)
-
     def test_serialization_canonical_names(self):
         payload = replay_report().to_dict()
         for name in (
@@ -344,3 +338,30 @@ class TestSignatureLengthSearch:
                 target_security=1e-5,
                 relative_tolerance=0.5,
             )
+
+
+@pytest.fixture(scope="module", params=sorted(presets.DETECTOR_PRESETS))
+def preset_tables(request):
+    config = presets.default_source_config()
+    profile = presets.profile_for_preset(request.param)
+    return config, profile, ChannelTables(config, config, profile)
+
+
+class TestExpectedStatisticsPerPreset:
+    def test_length_search_meets_target(self, preset_tables):
+        config, profile, tables = preset_tables
+        result = signature_length_search(
+            config, config, profile, BUDGET, target_security=1e-4, tables=tables
+        )
+        assert result.report.meets_target(1e-4)
+
+    def test_counts_only_at_search_cap(self, preset_tables):
+        # the search's largest budget: no per-event arrays, and the
+        # estimator still samples the signal-signal Z set exactly
+        config, _, tables = preset_tables
+        sifted = expected_sifted_data(tables.expected_rates(), 2e13)
+        assert sum(
+            getattr(sifted, name).nbytes for name in vars(sifted) if name.startswith("ev_")
+        ) == 0
+        result = estimate_yields(sifted, config, config, BUDGET)
+        assert all(est.n_k > 0 for est in result.estimates.values())

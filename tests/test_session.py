@@ -135,14 +135,15 @@ class TestSessionStatistics:
             seed=5,
             tables=favorable_tables,
         )
-        for bell in (0, 1):
-            a_bits, b_bits = sd.signal_z_bits(bell)
-            assert len(a_bits) == sd.z_counts[bell, 0, 0]
-            assert np.sum(a_bits != b_bits) == sd.z_errors[bell, 0, 0]
-        derived = np.zeros_like(sd.z_counts)
         z_mask = sd.ev_basis == 0
-        np.add.at(derived, (sd.ev_bell[z_mask], sd.ev_ia[z_mask], sd.ev_ib[z_mask]), 1)
+        cells = (sd.ev_bell[z_mask], sd.ev_ia[z_mask], sd.ev_ib[z_mask])
+        derived = np.zeros_like(sd.z_counts)
+        np.add.at(derived, cells, 1)
         assert np.array_equal(derived, sd.z_counts)
+        mismatched = sd.ev_alice_bit[z_mask] != sd.ev_bob_bit[z_mask]
+        derived_errors = np.zeros_like(sd.z_errors)
+        np.add.at(derived_errors, cells, mismatched.astype(np.int64))
+        assert np.array_equal(derived_errors, sd.z_errors)
 
     def test_ground_truth_consistency(self, favorable_tables):
         sd = run_kgp_session(
@@ -195,7 +196,6 @@ class TestStopRules:
             tables=favorable_tables,
         )
         assert sd.n_pulses == 123_456
-        assert sd.n_signals_sent == 123_456
 
     def test_budget_exhausted(self, favorable_tables):
         with pytest.raises(BudgetExhaustedError):
