@@ -423,12 +423,10 @@ def _hypergeometric(good: int, bad: int, draws: int, rng: np.random.Generator) -
 
     Beyond numpy's limit the population is split into two halves: how many
     draws land in the first half is itself hypergeometric, and each half is
-    then sampled on its own, so the draw stays exact.
+    then sampled on its own, so the draw stays exact up to 2e9 items.
     """
     if good < _HYPERGEOMETRIC_LIMIT and bad < _HYPERGEOMETRIC_LIMIT:
         return int(rng.hypergeometric(good, bad, draws))
-    if good + bad > 2 * _HYPERGEOMETRIC_LIMIT - 3:
-        raise DomainError(f"population {good + bad} too large to sample exactly")
     good_1, bad_1 = good // 2, bad // 2
     first = int(rng.hypergeometric(good_1 + bad_1, good - good_1 + bad - bad_1, draws))
     return _hypergeometric(good_1, bad_1, first, rng) + _hypergeometric(

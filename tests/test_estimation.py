@@ -340,10 +340,6 @@ class TestObservedErrorRate:
         assert abs(found.mean() - mean) < 4 * math.sqrt(var / draws)
         assert abs(found.var(ddof=1) / var - 1) < 4 * math.sqrt(2 / (draws - 1))
 
-    def test_population_too_large_to_split(self):
-        with pytest.raises(DomainError):
-            observed_error_rate(3 * 10**9, 10**8, 10**6, np.random.default_rng(0))
-
     def test_insufficient_data(self):
         with pytest.raises(DegenerateSessionError):
             observed_error_rate(5, 0, 5, np.random.default_rng(0))
@@ -417,6 +413,21 @@ class TestEstimateYields:
                 if singles.any():
                     assert est.e_k1 >= errors[singles].mean()
         assert checked == 2
+
+    def test_code_string_length(self, rich_session):
+        # R_k bits go to error estimation; the rest, rounded down to even,
+        # form the code string
+        res = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        for bell, est in res.estimates.items():
+            size = int(rich_session.z_counts[bell, 0, 0])
+            assert est.r_k == round(0.055 * size)
+            assert est.n_k == (size - est.r_k) // 2 * 2
+        # 101 signal-signal bits: R_k = 6 leaves 95, so one bit is dropped
+        z = np.zeros((2, 3, 3))
+        z[:, 0, 0] = 101
+        res = estimate_yields(make_sifted(z), DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        for est in res.estimates.values():
+            assert (est.r_k, est.n_k) == (6, 94)
 
     def test_deterministic(self, rich_session):
         one = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
