@@ -7,7 +7,7 @@ from pathlib import Path
 
 import click
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .scenario import (
     EXIT_VALIDATION,
     read_scenario_file,
@@ -56,7 +56,8 @@ def _dispatch(mode, config, preset, seed, scale, out, output_format):
     try:
         scenario = _load(config, preset, mode, seed, scale, output_format)
         code, payload = run(scenario)
-    except ValidationError as exc:
+    except (ValidationError, DomainError) as exc:
+        # a DomainError here comes from configured inputs (the analytic ones)
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     _emit(code, payload, out, scenario.output_format)

@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .sources import SystemProfile
+import numpy as np
 
-# Click-pattern classes over detector indices (D1H, D1V, D2H, D2V).
-_PSI_MINUS_PATTERNS = (frozenset({0, 3}), frozenset({1, 2}))
-_PSI_PLUS_PATTERNS = (frozenset({0, 1}), frozenset({2, 3}))
+from .sources import SystemProfile
 
 # Single-photon polarization amplitudes in the (H, V) basis.
 _POL_AMPLITUDES = {
@@ -73,15 +71,16 @@ def occupation_distribution(
     pol_b: str,
     k_b: int,
     frame_angle_b: float = 0.0,
-) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact detector-mode occupation distribution for a relay input of
     k_a photons polarized ``pol_a`` from party A and k_b photons polarized
     ``pol_b`` from party B, with party B's frame rotated by ``frame_angle_b``.
 
-    Returns parallel tuples of occupation vectors and their probabilities.
-    The expansion multiplies out the product of single-photon creation
-    operators, so Hong-Ou-Mandel interference between indistinguishable
-    photons is included exactly.
+    Returns the occupation vectors over (D1H, D1V, D2H, D2V) as a read-only
+    int8 array of shape (M, 4) and their probabilities as a read-only float
+    array of length M.  The expansion multiplies out the product of
+    single-photon creation operators, so Hong-Ou-Mandel interference between
+    indistinguishable photons is included exactly.
     """
     factors = [_creation_vector("a", pol_a)] * k_a
     factors += [_creation_vector("b", pol_b, frame_angle_b)] * k_b
@@ -112,14 +111,10 @@ def occupation_distribution(
             occs.append(occ)
             probs.append(p)
     total = sum(probs)
-    probs = [p / total for p in probs]
-    return tuple(occs), tuple(probs)
-
-
-def click_probabilities(occ, eta: float, dark: float) -> tuple[float, float, float, float]:
-    """Per-detector click probability given the mode occupation: a threshold
-    detector fires if any photon is registered or a dark count occurs."""
-    return tuple(1.0 - ((1.0 - eta) ** n) * (1.0 - dark) for n in occ)
+    occs = np.array(occs, dtype=np.int8)
+    probs = np.array([p / total for p in probs])
+    occs.flags.writeable = probs.flags.writeable = False
+    return occs, probs
 
 
 class RelayEngine:
@@ -142,25 +137,32 @@ class RelayEngine:
             profile.detector_efficiency, profile.dark_count_prob, profile.misalignment
         )
 
+    def outcome_table(self, inputs) -> np.ndarray:
+        """Rows (P(psi_minus), P(psi_plus)) for a sequence of relay inputs
+        (pol_a, k_a, pol_b, k_b), detector imperfections included."""
+        dists = [
+            occupation_distribution(pol_a, k_a, pol_b, k_b, self.frame_angle_b)
+            for pol_a, k_a, pol_b, k_b in inputs
+        ]
+        occs = np.concatenate([occ for occ, _ in dists])
+        probs = np.concatenate([p for _, p in dists])
+        # a threshold detector holding n photons stays silent with probability
+        # r[n]: it registers none of them and has no dark count.  psi_minus is
+        # a click on exactly {D1H, D2V} or {D1V, D2H}, psi_plus on {D1H, D1V}
+        # or {D2H, D2V}.  Gathering r and q per column keeps the temporaries
+        # at one float per occupation vector.
+        r = (1.0 - self.eta) ** np.arange(occs.max() + 1) * (1.0 - self.dark)
+        q = 1.0 - r
+        n0, n1, n2, n3 = occs.T
+        minus = q[n0] * r[n1] * r[n2] * q[n3] + r[n0] * q[n1] * q[n2] * r[n3]
+        plus = q[n0] * q[n1] * r[n2] * r[n3] + r[n0] * r[n1] * q[n2] * q[n3]
+        starts = np.cumsum([0] + [len(p) for _, p in dists[:-1]])
+        return np.stack([np.add.reduceat(probs * minus, starts),
+                         np.add.reduceat(probs * plus, starts)], axis=1)
+
     def outcome_probabilities(
         self, pol_a: str, k_a: int, pol_b: str, k_b: int
     ) -> tuple[float, float]:
-        """(P(psi_minus), P(psi_plus)) for an input configuration, detector
-        imperfections included."""
-        occs, probs = occupation_distribution(pol_a, k_a, pol_b, k_b, self.frame_angle_b)
-        p_minus = 0.0
-        p_plus = 0.0
-        for occ, p_occ in zip(occs, probs):
-            q = click_probabilities(occ, self.eta, self.dark)
-            for pattern in _PSI_MINUS_PATTERNS:
-                p_minus += p_occ * self._pattern_prob(q, pattern)
-            for pattern in _PSI_PLUS_PATTERNS:
-                p_plus += p_occ * self._pattern_prob(q, pattern)
-        return p_minus, p_plus
-
-    @staticmethod
-    def _pattern_prob(q, pattern) -> float:
-        p = 1.0
-        for i in range(4):
-            p *= q[i] if i in pattern else 1.0 - q[i]
-        return p
+        """(P(psi_minus), P(psi_plus)) for one input configuration."""
+        p_minus, p_plus = self.outcome_table([(pol_a, k_a, pol_b, k_b)])[0]
+        return float(p_minus), float(p_plus)

@@ -59,10 +59,16 @@ class Scenario:
             raise ValidationError("scale_factor must be >= 1")
         if self.mode in ("montecarlo", "protocol") and self.seed is None:
             raise ValidationError(f"{self.mode} mode requires a seed")
+        if self.seed is not None and not (self.seed >= 0 and self.seed == int(self.seed)):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 < self.target_security <= 1.0:
             raise ValidationError("target_security must lie in (0,1]")
         if not 0.0 < self.r_fraction < 1.0:
             raise ValidationError("r_fraction must lie in (0,1)")
+        if not 1.0 <= self.zeta <= 2.0:
+            raise ValidationError("zeta must lie in [1,2]")
+        if not self.n_sig > 0:
+            raise ValidationError("n_sig must be positive")
 
 
 # worked-example parameters for the analytic replay
@@ -82,6 +88,20 @@ _PROTOCOL_DEFAULTS = {
 }
 
 
+def _numbers(payload, where: str, keys=None) -> dict:
+    """``payload``, once it is an object whose ``keys`` (all by default) that
+    it holds are finite numbers (Python's JSON reader also accepts NaN and
+    Infinity)."""
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {payload!r}")
+    for key in payload.keys() if keys is None else payload.keys() & keys:
+        value = payload[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ValidationError(f"{where} field {key!r} must be a finite number, got {value!r}")
+    return payload
+
+
 def _build_source(payload: dict) -> DecoySourceConfig:
     merged = {
         "intensities": dict(presets.DEFAULT_INTENSITIES),
@@ -89,11 +109,11 @@ def _build_source(payload: dict) -> DecoySourceConfig:
         "basis_probs": dict(presets.DEFAULT_BASIS_PROBS),
         "pulse_rate": presets.DEFAULT_PULSE_RATE,
     }
-    for key, value in payload.items():
+    for key, value in _numbers(payload, "source", {"pulse_rate"}).items():
         if key not in merged:
             raise ValidationError(f"unknown source field {key!r}")
         if isinstance(merged[key], dict):
-            merged[key] = {**merged[key], **value}
+            merged[key] = {**merged[key], **_numbers(value, key)}
         else:
             merged[key] = value
     return DecoySourceConfig(**merged)
@@ -108,7 +128,7 @@ def _build_profile(payload: dict, preset: str | None) -> SystemProfile:
         "dark_count_prob": base.dark_count_prob,
         "misalignment": base.misalignment,
     }
-    for key, value in payload.items():
+    for key, value in _numbers(payload, "profile").items():
         if key not in merged:
             raise ValidationError(f"unknown profile field {key!r}")
         merged[key] = value
@@ -117,7 +137,7 @@ def _build_profile(payload: dict, preset: str | None) -> SystemProfile:
 
 def _build_budget(payload: dict) -> ErrorBudget:
     known = {f.name for f in fields(ErrorBudget)}
-    unknown = set(payload) - known
+    unknown = set(_numbers(payload, "budget")) - known
     if unknown:
         raise ValidationError(f"unknown budget fields {sorted(unknown)}")
     try:
@@ -139,10 +159,12 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"unknown scenario fields {sorted(unknown)}")
+    _numbers({k: v for k, v in raw.items() if v is not None}, "scenario",
+             {"seed", "scale_factor", "target_security", "r_fraction", "zeta", "n_sig"})
     preset = raw.get("preset", preset)
-    shared = raw.get("source", {})
-    source_a = _build_source({**shared, **raw.get("source_a", {})})
-    source_b = _build_source({**shared, **raw.get("source_b", {})})
+    shared = _numbers(raw.get("source", {}), "source", ())
+    source_a = _build_source({**shared, **_numbers(raw.get("source_a", {}), "source_a", ())})
+    source_b = _build_source({**shared, **_numbers(raw.get("source_b", {}), "source_b", ())})
     try:
         return Scenario(
             mode=raw.get("mode", "analytic"),
@@ -158,8 +180,9 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
             zeta=raw.get("zeta", presets.DEFAULT_ZETA),
             n_sig=raw.get("n_sig", 5.58e12),
             x_error_method=raw.get("x_error_method", "lp"),
-            analytic={**_ANALYTIC_DEFAULTS, **raw.get("analytic", {})},
-            protocol_params={**_PROTOCOL_DEFAULTS, **raw.get("protocol", {})},
+            analytic={**_ANALYTIC_DEFAULTS, **_numbers(raw.get("analytic", {}), "analytic")},
+            protocol_params={**_PROTOCOL_DEFAULTS,
+                             **_numbers(raw.get("protocol", {}), "protocol")},
         )
     except (ValidationError, DomainError) as exc:
         raise ValidationError(str(exc)) from exc

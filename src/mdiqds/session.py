@@ -11,9 +11,12 @@ the (rare) dark coincidence fires.
 The relay is untrusted, so the parties only see its announcement: the engine
 draws each announcement with one uniform against (P(psi_minus), P(psi_plus))
 for the relay input, read from the one relay table on `ChannelTables`.  The
-closed-form `expected_rates` reads the same table, so Monte-Carlo sessions
-are checked against those expectations, and the table itself against the
-brute-force Fock oracle in the tests.
+closed-form `expected_rates` contracts the same table with the channel's
+binomial-survival matrix and the source photon-number pmfs, so Monte-Carlo
+sessions are checked against those expectations, and the table itself
+against the brute-force Fock oracle in the tests.  Table entries are filled
+on first use, every missing entry of a lookup in one batched call to the
+relay engine.
 """
 
 from __future__ import annotations
@@ -25,16 +28,8 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ValidationError
 from .relay import RelayEngine
-from .sources import (
-    BASES,
-    INTENSITY_LABELS,
-    N_CUT,
-    POLARIZATION,
-    DecoySourceConfig,
-    SystemProfile,
-)
+from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
 
-_POL_INDEX = {"H": 0, "V": 1, "D": 2, "A": 3}
 _POL_NAMES = ("H", "V", "D", "A")
 
 # Contributions to the closed-form rates below this joint source probability
@@ -73,7 +68,8 @@ class ChannelTables:
         self.profile = profile
         self.engine = RelayEngine.for_profile(profile)
         # relay[pol_a, k_a, pol_b, k_b] = (P(psi_minus), P(psi_plus)) for k_a
-        # and k_b arriving photons; each entry is filled on first use
+        # and k_b arriving photons; NaN until `relay_outcomes` fills it, which
+        # it does for every missing entry of one lookup at once
         self.relay = np.full((4, N_CUT + 1, 4, N_CUT + 1, 2), np.nan)
         t = profile.transmittance()
         self.binom_survive = _binomial_matrix(t)
@@ -89,7 +85,6 @@ class ChannelTables:
         self.multi_joint_cdf = {}
         self.multi_joint_cells = {}
         self.basis_z_prob = {}
-        self.p_side_single = {}
         for party, cfg in (("a", config_a), ("b", config_b)):
             probs = np.array([cfg.intensity_probs[l] for l in INTENSITY_LABELS])
             self.intensity_probs[party] = probs
@@ -115,53 +110,26 @@ class ChannelTables:
 
         # a lone arriving photon (or none) announces independently of its
         # polarization; take the Bell-state probabilities for H
-        self.p_side_single = {"a": self.relay_outcome(0, 1, 0, 0),
-                              "b": self.relay_outcome(0, 0, 0, 1)}
-        self.p_dark = self.relay_outcome(0, 0, 0, 0)
+        side = self.relay_outcomes([0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0])
+        self.p_side_single = {"a": side[0], "b": side[1]}
+        self.p_dark = side[2]
         self._rates = None
-        self._source_outcome_cache: dict[tuple, np.ndarray] = {}
-
-    def relay_outcome(self, pol_a: int, k_a: int, pol_b: int, k_b: int) -> np.ndarray:
-        """The relay table entry (P(psi_minus), P(psi_plus)) for one input."""
-        entry = self.relay[pol_a, k_a, pol_b, k_b]
-        if math.isnan(entry[0]):
-            entry[:] = self.engine.outcome_probabilities(
-                _POL_NAMES[pol_a], k_a, _POL_NAMES[pol_b], k_b
-            )
-        return entry
 
     def relay_outcomes(self, pol_a, k_a, pol_b, k_b) -> np.ndarray:
-        """Relay table rows (P(psi_minus), P(psi_plus)) for arrays of inputs."""
+        """Relay table rows (P(psi_minus), P(psi_plus)) for arrays of inputs,
+        filling every missing entry in one call to the relay engine."""
         flat = np.ravel_multi_index((pol_a, k_a, pol_b, k_b), self.relay.shape[:4])
         table = self.relay.reshape(-1, 2)
-        probs = table[flat]
-        missing = np.isnan(probs[:, 0])
-        if missing.any():
-            for idx in np.unique(flat[missing]):
-                self.relay_outcome(*map(int, np.unravel_index(idx, self.relay.shape[:4])))
-            probs = table[flat]
-        return probs
+        missing = np.unique(flat[np.isnan(table[flat, 0])])
+        if missing.size:
+            inputs = np.unravel_index(missing, self.relay.shape[:4])
+            table[missing] = self.engine.outcome_table(
+                (_POL_NAMES[pa], ka, _POL_NAMES[pb], kb)
+                for pa, ka, pb, kb in zip(*(i.tolist() for i in inputs))
+            )
+        return table[flat]
 
     # -- closed-form expectations ------------------------------------------
-
-    def _source_outcome(self, pol_a: int, n: int, pol_b: int, m: int):
-        """Announcement probabilities for source photon numbers (n, m)."""
-        key = (pol_a, n, pol_b, m)
-        cached = self._source_outcome_cache.get(key)
-        if cached is not None:
-            return cached
-        p = np.zeros(2)
-        for k_a in range(n + 1):
-            w_a = self.binom_survive[n, k_a]
-            for k_b in range(m + 1):
-                w = w_a * self.binom_survive[m, k_b]
-                if w <= 0.0:
-                    continue
-                p_minus, p_plus = self.relay_outcome(pol_a, k_a, pol_b, k_b)
-                p[0] += w * p_minus
-                p[1] += w * p_plus
-        self._source_outcome_cache[key] = p
-        return p
 
     def expected_rates(self) -> "RateTable":
         """Exact per-cell announcement and error expectations under the same
@@ -169,35 +137,36 @@ class ChannelTables:
         Monte-Carlo path (photon numbers truncated at N_CUT)."""
         if self._rates is not None:
             return self._rates
-        gain = np.zeros((2, 2, 3, 3))
-        err = np.zeros((2, 2, 3, 3))
-        population = np.zeros((2, 2, 3, 3, N_CUT + 1, N_CUT + 1))
-        residual = 0.0
-        basis_i, bit_a_i, bit_b_i, bell_i = np.indices((2, 2, 2, 2))
-        is_error = bit_a_i != _sift_bits(basis_i, bell_i, bit_b_i)
-        for ia in range(3):
-            pmf_a = self.source_pmf["a"][ia]
-            for ib in range(3):
-                pmf_b = self.source_pmf["b"][ib]
-                for basis_idx, basis in enumerate(BASES):
-                    for bit_a in (0, 1):
-                        pol_a = _POL_INDEX[POLARIZATION[(basis, bit_a)]]
-                        for bit_b in (0, 1):
-                            pol_b = _POL_INDEX[POLARIZATION[(basis, bit_b)]]
-                            for n in range(N_CUT + 1):
-                                for m in range(N_CUT + 1):
-                                    w = 0.25 * pmf_a[n] * pmf_b[m]
-                                    if w < _RATE_FLOOR:
-                                        residual += w
-                                        continue
-                                    p_bell = self._source_outcome(pol_a, n, pol_b, m)
-                                    for bell in range(2):
-                                        gain[bell, basis_idx, ia, ib] += w * p_bell[bell]
-                                        population[bell, basis_idx, ia, ib, n, m] += (
-                                            w * p_bell[bell]
-                                        )
-                                        if is_error[basis_idx, bit_a, bit_b, bell]:
-                                            err[bell, basis_idx, ia, ib] += w * p_bell[bell]
+        # w[ia, ib, n, m]: probability of one polarization pair of a basis
+        # (1/4 of the basis) with n and m photons sent
+        w = 0.25 * (self.source_pmf["a"][:, None, :, None]
+                    * self.source_pmf["b"][None, :, None, :])
+        kept = w >= _RATE_FLOOR
+        residual = 8 * float(w[~kept].sum())
+        w[~kept] = 0.0
+
+        # same-basis polarization pairs: basis 0 = Z (H/V by bit), 1 = X (D/A)
+        basis, bit_a, bit_b = np.indices((2, 2, 2))
+        pol_a, pol_b = 2 * basis + bit_a, 2 * basis + bit_b
+        # fill only the inputs (k_a, k_b) that some kept (n, m) reaches
+        surv = self.binom_survive
+        k_a, k_b = np.nonzero((surv.T > 0) @ kept.any(axis=(0, 1)) @ (surv > 0))
+        self.relay_outcomes(*np.broadcast_arrays(
+            pol_a.reshape(-1, 1), k_a, pol_b.reshape(-1, 1), k_b))
+
+        # s[basis, bit_a, bit_b, bell, n, m]: announcement probability for
+        # n and m photons sent, summed over the photons that arrive; an
+        # entry left unfilled only ever meets a zero weight
+        relay = np.nan_to_num(self.relay[pol_a, :, pol_b])
+        s = np.einsum("nk,ml,xyzklb->xyzbnm", surv, surv, relay, optimize=True)
+        # contrib[basis, bit_a, bit_b, bell, ia, ib, n, m]
+        contrib = s[:, :, :, :, None, None] * w
+        cell = contrib.sum(axis=(6, 7))
+        bell = np.arange(2)
+        is_error = bit_a[..., None] != _sift_bits(basis[..., None], bell, bit_b[..., None])
+        gain = cell.sum(axis=(1, 2)).swapaxes(0, 1)
+        err = (cell * is_error[..., None, None]).sum(axis=(1, 2)).swapaxes(0, 1)
+        population = contrib.sum(axis=(1, 2)).swapaxes(0, 1)
         error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
         pz_a, pz_b = self.basis_z_prob["a"], self.basis_z_prob["b"]
         self._rates = RateTable(

@@ -48,7 +48,8 @@ class TestOccupationDistribution:
     )
     def test_matches_bruteforce(self, config, photons):
         occs, probs = occupation_distribution(*config)
-        got = dict(zip(occs, probs))
+        assert occs.dtype == np.int8 and occs.shape == (len(probs), 4)
+        got = dict(zip(map(tuple, occs.tolist()), probs))
         want = occupation_probs(photons)
         assert set(got) == set(want)
         for occ in want:
@@ -97,6 +98,23 @@ class TestOutcomeProbabilities:
         want_minus, want_plus, _ = outcome_probs(photons, eta=eta, dark=dark)
         assert p_minus == pytest.approx(want_minus, abs=1e-12)
         assert p_plus == pytest.approx(want_plus, abs=1e-12)
+
+
+class TestRelayTable:
+    def test_small_inputs_vs_oracle(self):
+        # every entry with k_a + k_b <= 5, all 16 polarization pairs, filled
+        # in one batched call
+        eta, dark = 0.7, 0.01
+        profile = SystemProfile(distance_km=0.0, detector_efficiency=eta, dark_count_prob=dark)
+        tables = ChannelTables(CONFIG, CONFIG, profile)
+        inputs = [(pa, ka, pb, kb) for pa in range(4) for pb in range(4)
+                  for ka in range(6) for kb in range(6 - ka)]
+        got = tables.relay_outcomes(*np.array(inputs).T)
+        for (pa, ka, pb, kb), (p_minus, p_plus) in zip(inputs, got):
+            photons = [("a", "HVDA"[pa])] * ka + [("b", "HVDA"[pb])] * kb
+            want_minus, want_plus, _ = outcome_probs(photons, eta=eta, dark=dark)
+            assert p_minus == pytest.approx(want_minus, abs=1e-12), (pa, ka, pb, kb)
+            assert p_plus == pytest.approx(want_plus, abs=1e-12), (pa, ka, pb, kb)
 
 
 class TestRelayBsm:

@@ -168,6 +168,28 @@ class TestCli:
         result = runner.invoke(main, ["analytic", "--config", str(path)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"scale_factor": "big"},
+            {"target_security": "a"},
+            {"profile": {"distance_km": "x"}},
+            {"budget": {"eps_0": "x"}},
+            {"source": [1]},
+            {"zeta": 5},
+            {"analytic": {"n_k": -5}},
+            {"n_sig": -5},
+            {"source": {"pulse_rate": float("nan")}},
+            {"seed": -1},
+        ],
+    )
+    def test_bad_config_exit_code(self, tmp_path, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["analytic", "--config", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "validation error" in result.output
+
     def test_simulate_infeasible_exit_code(self):
         runner = CliRunner()
         result = runner.invoke(

@@ -9,7 +9,7 @@ import pytest
 from mdiqds.errors import BudgetExhaustedError
 from mdiqds.relay import RelayEngine
 from mdiqds.session import ChannelTables, StopRule, _sift_bits, expected_rates, run_kgp_session
-from mdiqds.sources import DecoySourceConfig, SystemProfile
+from mdiqds.sources import BASES, N_CUT, POLARIZATION, DecoySourceConfig, SystemProfile
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -31,6 +31,46 @@ FAVORABLE_PROFILE = SystemProfile(
     dark_count_prob=1e-6,
     misalignment=0.01,
 )
+
+
+def scalar_expected_rates(tables):
+    """Reference for `ChannelTables.expected_rates`: the scalar loop over
+    every (n, m) and every (k_a, k_b) arriving, one relay evaluation each."""
+    gain = np.zeros((2, 2, 3, 3))
+    err = np.zeros((2, 2, 3, 3))
+    population = np.zeros((2, 2, 3, 3, N_CUT + 1, N_CUT + 1))
+    residual = 0.0
+    surv = tables.binom_survive
+    source = {}
+    for ia, pmf_a in enumerate(tables.source_pmf["a"]):
+        for ib, pmf_b in enumerate(tables.source_pmf["b"]):
+            for basis_idx, basis in enumerate(BASES):
+                for bit_a in (0, 1):
+                    for bit_b in (0, 1):
+                        pols = POLARIZATION[(basis, bit_a)], POLARIZATION[(basis, bit_b)]
+                        for n in range(N_CUT + 1):
+                            for m in range(N_CUT + 1):
+                                w = 0.25 * pmf_a[n] * pmf_b[m]
+                                if w < 1e-18:
+                                    residual += w
+                                    continue
+                                key = (pols, n, m)
+                                if key not in source:
+                                    source[key] = sum(
+                                        surv[n, k_a] * surv[m, k_b] * np.array(
+                                            tables.engine.outcome_probabilities(
+                                                pols[0], k_a, pols[1], k_b))
+                                        for k_a in range(n + 1) for k_b in range(m + 1)
+                                    )
+                                for bell in (0, 1):
+                                    p = w * source[key][bell]
+                                    gain[bell, basis_idx, ia, ib] += p
+                                    population[bell, basis_idx, ia, ib, n, m] += p
+                                    # Bob flips in Z, and in X on psi_minus
+                                    if bit_a != bit_b ^ (basis_idx == 0 or bell == 0):
+                                        err[bell, basis_idx, ia, ib] += p
+    error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
+    return gain, error_rate, population, residual
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +105,15 @@ class TestExpectedRates:
 
     def test_residual_negligible(self, favorable_tables):
         assert favorable_tables.expected_rates().residual < 1e-12
+
+    def test_matches_scalar_reference(self):
+        tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
+        rt = tables.expected_rates()
+        gain, error_rate, population, residual = scalar_expected_rates(tables)
+        np.testing.assert_allclose(rt.gain, gain, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rt.error_rate, error_rate, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rt.population, population, rtol=1e-12, atol=0.0)
+        assert rt.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
 
 
 class TestSessionStatistics:
