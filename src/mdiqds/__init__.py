@@ -6,7 +6,6 @@ the finite-size security bounds that tie them together.
 """
 
 from .errors import (
-    BudgetExhaustedError,
     DegenerateSessionError,
     DomainError,
     InfeasibleBoundsError,
@@ -15,13 +14,12 @@ from .errors import (
 )
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields
 from .security import SecurityReport, build_security_report, signature_length_search
-from .session import ChannelTables, SiftedData, StopRule, expected_rates, run_kgp_session
+from .session import ChannelTables, SiftedData, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhaustedError",
     "ChannelTables",
     "DecoySourceConfig",
     "DegenerateSessionError",
@@ -31,13 +29,11 @@ __all__ = [
     "InfeasibleObservationsError",
     "SecurityReport",
     "SiftedData",
-    "StopRule",
     "SystemProfile",
     "ValidationError",
     "YieldEstimate",
     "build_security_report",
     "estimate_yields",
-    "expected_rates",
     "run_kgp_session",
     "signature_length_search",
 ]

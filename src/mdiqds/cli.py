@@ -55,6 +55,9 @@ def _common_options(fn):
 def _dispatch(mode, config, preset, seed, scale, out, output_format):
     try:
         scenario = _load(config, preset, mode, seed, scale, output_format)
+        # checked before the run, so a long simulation is not lost at the end
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValidationError(f"output directory does not exist: {Path(out).parent}")
         code, payload = run(scenario)
     except (ValidationError, DomainError) as exc:
         # a DomainError here comes from configured inputs (the analytic ones)

@@ -23,7 +23,3 @@ class InfeasibleObservationsError(RuntimeError):
 
 class DegenerateSessionError(RuntimeError):
     """A session lacks the data required to evaluate a bound."""
-
-
-class BudgetExhaustedError(RuntimeError):
-    """The pulse budget ran out before the per-set minima were reached."""

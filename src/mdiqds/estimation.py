@@ -343,15 +343,12 @@ def x_basis_bounds(
     bell: int,
     pop: PhotonPopulation,
     budget: ErrorBudget,
-    method: str = "lp",
 ) -> XBasisAux:
     """Bound the single-photon-pair population and errors of the X sets.
 
-    ``method="lp"`` bounds the single-photon errors with a joint linear
-    program over (populations, error populations), constrained by both the
-    nine set sizes and the nine error counts; ``method="observed"`` instead
-    charges every observed signal-signal X error to single photons (simpler
-    and strictly more conservative).
+    The single-photon errors are bounded by a joint linear program over
+    (populations, error populations), constrained by both the nine set sizes
+    and the nine error counts.
     """
     x_sizes = sifted.x_counts[bell]
     x_pairs = sifted.n_pulses * pop.basis_pair_prob["X"]
@@ -359,15 +356,6 @@ def x_basis_bounds(
         x_sizes, pop, budget, single_pair_objective(pop), x_pairs
     )
     n_bar = _clamped_lower(value, budget.eps_ke_x1)
-
-    if method == "observed":
-        observed_errors = float(sifted.x_errors[bell, 0, 0])
-        e_bar = observed_errors + (
-            chernoff_delta(observed_errors, budget.eps_ke_x2) if observed_errors else 0.0
-        )
-        return XBasisAux(n_bar_k1=n_bar, e_bar_k1=e_bar)
-    if method != "lp":
-        raise DomainError(f"unknown X error bound method: {method}")
 
     n_vars = 2 * _GRID * _GRID  # populations S then error populations V
     a_size, b_size = _population_constraints(x_sizes, pop, budget)
@@ -504,7 +492,6 @@ def estimate_yields(
     budget: ErrorBudget,
     r_fraction: float = 0.055,
     seed: int = 0,
-    x_error_method: str = "lp",
 ) -> EstimationResult:
     """Run the estimation chain for both announced Bell states.
 
@@ -542,7 +529,7 @@ def estimate_yields(
         est.n_k0 = serfling_scale(est.m_k0, size, n_half, budget.eps_k0_serfling)
         est.n_k1 = serfling_scale(est.m_k1, size, n_half, budget.eps_k1_serfling)
         try:
-            aux = x_basis_bounds(sifted, bell, pop, budget, method=x_error_method)
+            aux = x_basis_bounds(sifted, bell, pop, budget)
             est.n_bar_k1 = aux.n_bar_k1
             est.e_bar_k1 = aux.e_bar_k1
             est.e_k1 = upper_bound_e_k1(est.n_k1, aux, budget)

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
 from .security import build_security_report, select_code_string
-from .session import ChannelTables, StopRule, run_kgp_session
+from .session import ChannelTables, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
 MODES = ("analytic", "montecarlo", "protocol", "table-sweep")
@@ -44,7 +44,6 @@ class Scenario:
     r_fraction: float = presets.DEFAULT_R_FRACTION
     zeta: float = presets.DEFAULT_ZETA
     n_sig: float = 5.58e12
-    x_error_method: str = "lp"
     analytic: dict = field(default_factory=dict)
     protocol_params: dict = field(default_factory=dict)
 
@@ -154,7 +153,7 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     known = {
         "mode", "seed", "format", "scale_factor", "target_security",
         "source", "source_a", "source_b", "profile", "budget", "preset",
-        "r_fraction", "zeta", "n_sig", "x_error_method", "analytic", "protocol",
+        "r_fraction", "zeta", "n_sig", "analytic", "protocol",
     }
     unknown = set(raw) - known
     if unknown:
@@ -179,7 +178,6 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
             r_fraction=raw.get("r_fraction", presets.DEFAULT_R_FRACTION),
             zeta=raw.get("zeta", presets.DEFAULT_ZETA),
             n_sig=raw.get("n_sig", 5.58e12),
-            x_error_method=raw.get("x_error_method", "lp"),
             analytic={**_ANALYTIC_DEFAULTS, **_numbers(raw.get("analytic", {}), "analytic")},
             protocol_params={**_PROTOCOL_DEFAULTS,
                              **_numbers(raw.get("protocol", {}), "protocol")},
@@ -268,14 +266,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
     details = {}
     sessions = {}
     for index, name in enumerate(("alice_bob", "alice_charlie")):
-        sifted = run_kgp_session(
-            scenario.source_a,
-            scenario.source_b,
-            scenario.profile,
-            StopRule(total_pulses=pulses),
-            seed=int(scenario.seed) + index,
-            tables=tables,
-        )
+        sifted = run_kgp_session(tables, pulses, seed=int(scenario.seed) + index)
         sessions[name] = {
             "n_pulses": sifted.n_pulses,
             "z_set_sizes": sifted.z_counts.tolist(),
@@ -288,7 +279,6 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
             scenario.budget,
             r_fraction=scenario.r_fraction,
             seed=int(scenario.seed) + index,
-            x_error_method=scenario.x_error_method,
         )
         details[name] = {str(b): e.to_dict() for b, e in result.estimates.items()}
         try:

@@ -359,14 +359,10 @@ def _evaluate_budget(
     zeta: float,
     r_fraction: float,
     pulse_rate: float,
-    x_error_method: str,
 ) -> SecurityReport | None:
     rates = tables.expected_rates()
     sifted = expected_sifted_data(rates, n_sig)
-    result = estimate_yields(
-        sifted, config_a, config_b, budget,
-        r_fraction=r_fraction, seed=0, x_error_method=x_error_method,
-    )
+    result = estimate_yields(sifted, config_a, config_b, budget, r_fraction=r_fraction, seed=0)
     try:
         bell, est = select_code_string(result)
     except DegenerateSessionError:
@@ -391,7 +387,6 @@ def signature_length_search(
     pulse_rate: float = 1e9,
     zeta: float = 1.16,
     r_fraction: float = 0.055,
-    x_error_method: str = "lp",
     relative_tolerance: float = 0.05,
     tables: ChannelTables | None = None,
 ) -> SearchResult:
@@ -416,8 +411,7 @@ def signature_length_search(
 
     def evaluate(n_sig: float) -> SecurityReport | None:
         return _evaluate_budget(
-            tables, config_a, config_b, n_sig, budget, zeta,
-            r_fraction, pulse_rate, x_error_method,
+            tables, config_a, config_b, n_sig, budget, zeta, r_fraction, pulse_rate
         )
 
     lo, hi = None, None

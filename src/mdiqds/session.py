@@ -1,6 +1,11 @@
 """Key-generation sessions: vectorized Monte-Carlo runs and their closed-form
 expectations.
 
+A session sends a fixed pulse budget, N_sig in the paper, in batches.  It
+keeps one record per announced event that both parties sifted in the same
+basis, and tallies every count (set sizes, error counts, the ground-truth
+photon-number population) from those records in one pass.
+
 The session engine samples every pulse of both transmitters, but defers
 drawing any variable that cannot influence the recorded data.  A pulse whose
 photons all die in fiber can only be announced through dark counts, and dark
@@ -26,11 +31,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ValidationError
 from .relay import RelayEngine
 from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
 
 _POL_NAMES = ("H", "V", "D", "A")
+
+# pulses per batch; each batch draws from its own (seed, batch index) stream
+_BATCH_SIZE = 1 << 20
+
+# arrived photons (a, b) of the pulses announced only through a constant
+# probability: a lone photon from A, a lone photon from B, none.  Python ints,
+# so that comparing them with the int8 arrival classes stays in int8
+_THINNED_ARRIVALS = ((1, 0), (0, 1), (0, 0))
+
+# one cell per (bell, basis, ia, ib, error, source photons a, b) of an event
+_TALLY_SHAPE = (2, 2, 3, 3, 2, N_CUT + 1, N_CUT + 1)
 
 # Contributions to the closed-form rates below this joint source probability
 # are skipped and accumulated into a reported residual bound.
@@ -108,11 +123,6 @@ class ChannelTables:
             self.multi_joint_cdf[party] = _normalized_cdf(multi.reshape(-1))
             self.basis_z_prob[party] = cfg.basis_probs["Z"]
 
-        # a lone arriving photon (or none) announces independently of its
-        # polarization; take the Bell-state probabilities for H
-        side = self.relay_outcomes([0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0])
-        self.p_side_single = {"a": side[0], "b": side[1]}
-        self.p_dark = side[2]
         self._rates = None
 
     def relay_outcomes(self, pol_a, k_a, pol_b, k_b) -> np.ndarray:
@@ -220,34 +230,18 @@ class RateTable:
         return scaled
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Stop when every per-set count reaches its minimum, or when the pulse
-    budget is exhausted.  With both set, hitting the budget before the minima
-    is an error."""
-
-    total_pulses: int | None = None
-    min_z_per_set: int | None = None
-    min_x_per_set: int | None = None
-
-    def __post_init__(self):
-        if self.total_pulses is None and self.min_z_per_set is None:
-            raise ValidationError("stop rule needs a pulse budget or per-set minima")
-
-    def minima_met(self, z_counts: np.ndarray, x_counts: np.ndarray) -> bool:
-        if self.min_z_per_set is not None and z_counts.min() < self.min_z_per_set:
-            return False
-        if self.min_x_per_set is not None and x_counts.min() < self.min_x_per_set:
-            return False
-        return True
-
-    @property
-    def has_minima(self) -> bool:
-        return self.min_z_per_set is not None or self.min_x_per_set is not None
-
-
 def _no_events() -> np.ndarray:
     return np.empty(0, dtype=np.int8)
+
+
+def _records(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Event-record columns in int8, so the records a session keeps until it
+    ends take 8 bytes per event."""
+    return tuple(column.astype(np.int8) for column in columns)
+
+
+def _no_records() -> tuple[np.ndarray, ...]:
+    return tuple(_no_events() for _ in range(8))
 
 
 @dataclass
@@ -295,109 +289,48 @@ class SiftedData:
         return errors, self.ev_src_a[mask], self.ev_src_b[mask]
 
 
-class _EventBuffer:
-    def __init__(self):
-        self.chunks = {name: [] for name in
-                       ("bell", "basis", "ia", "ib", "abit", "bbit", "srca", "srcb")}
-
-    def add(self, **arrays):
-        n = len(arrays["bell"])
-        if n == 0:
-            return
-        for name, arr in arrays.items():
-            self.chunks[name].append(np.asarray(arr))
-
-    def concat(self, name):
-        chunks = self.chunks[name]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-
-def run_kgp_session(
-    config_a: DecoySourceConfig,
-    config_b: DecoySourceConfig,
-    profile: SystemProfile,
-    stop_rule: StopRule,
-    seed: int,
-    tables: ChannelTables | None = None,
-    batch_size: int = 1 << 20,
-) -> SiftedData:
-    """Run one measurement-device-independent key-generation session.
+def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedData:
+    """Run one measurement-device-independent key-generation session of
+    ``n_pulses`` pulses through the link that ``tables`` describes.
 
     Deterministic for a fixed seed: every batch derives its random stream
     from (seed, batch index), so results do not depend on scheduling.
     """
-    if tables is None:
-        tables = ChannelTables(config_a, config_b, profile)
-
-    z_counts = np.zeros((2, 3, 3), dtype=np.int64)
-    x_counts = np.zeros((2, 3, 3), dtype=np.int64)
-    z_errors = np.zeros((2, 3, 3), dtype=np.int64)
-    x_errors = np.zeros((2, 3, 3), dtype=np.int64)
-    population = np.zeros((2, 2, 3, 3, N_CUT + 1, N_CUT + 1), dtype=np.int64)
-    events = _EventBuffer()
-
-    pulses_done = 0
-    batch_idx = 0
-    while True:
-        if stop_rule.total_pulses is not None and pulses_done >= stop_rule.total_pulses:
-            if stop_rule.has_minima and not stop_rule.minima_met(z_counts, x_counts):
-                raise BudgetExhaustedError(
-                    f"pulse budget {stop_rule.total_pulses} exhausted with per-set "
-                    f"minima unmet (min Z set {z_counts.min()}, min X set {x_counts.min()})"
-                )
-            break
-        if (
-            stop_rule.total_pulses is None
-            and stop_rule.minima_met(z_counts, x_counts)
-        ):
-            break
-        if stop_rule.total_pulses is not None:
-            m = min(batch_size, stop_rule.total_pulses - pulses_done)
-        else:
-            m = batch_size
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(batch_idx,))
-        )
-        _run_batch(tables, m, rng, z_counts, x_counts, z_errors, x_errors, population, events)
-        pulses_done += m
-        batch_idx += 1
-        if (
-            stop_rule.total_pulses is None
-            and stop_rule.minima_met(z_counts, x_counts)
-        ):
-            break
-
+    records = [_no_records()]
+    for batch_idx, start in enumerate(range(0, n_pulses, _BATCH_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_idx,)))
+        records += _run_batch(tables, min(_BATCH_SIZE, n_pulses - start), rng)
+    bell, basis, ia, ib, alice, raw_bob, src_a, src_b = (
+        np.concatenate(column) for column in zip(*records)
+    )
+    bob = _sift_bits(basis, bell, raw_bob)
+    tally = np.bincount(
+        np.ravel_multi_index((bell, basis, ia, ib, alice != bob, src_a, src_b), _TALLY_SHAPE),
+        minlength=math.prod(_TALLY_SHAPE),
+    ).reshape(_TALLY_SHAPE)
+    cells = tally.sum(axis=(5, 6))  # (bell, basis, ia, ib, error)
     return SiftedData(
-        n_pulses=pulses_done,
-        z_counts=z_counts,
-        x_counts=x_counts,
-        z_errors=z_errors,
-        x_errors=x_errors,
-        population=population,
-        ev_bell=events.concat("bell"),
-        ev_basis=events.concat("basis"),
-        ev_ia=events.concat("ia"),
-        ev_ib=events.concat("ib"),
-        ev_alice_bit=events.concat("abit"),
-        ev_bob_bit=events.concat("bbit"),
-        ev_src_a=events.concat("srca"),
-        ev_src_b=events.concat("srcb"),
+        n_pulses=n_pulses,
+        z_counts=cells[:, 0].sum(axis=-1),
+        x_counts=cells[:, 1].sum(axis=-1),
+        z_errors=cells[:, 0, ..., 1],
+        x_errors=cells[:, 1, ..., 1],
+        population=tally.sum(axis=4),
+        ev_bell=bell,
+        ev_basis=basis,
+        ev_ia=ia,
+        ev_ib=ib,
+        ev_alice_bit=alice,
+        ev_bob_bit=bob,
+        ev_src_a=src_a,
+        ev_src_b=src_b,
     )
 
 
-def _run_batch(
-    tables: ChannelTables,
-    m: int,
-    rng: np.random.Generator,
-    z_counts,
-    x_counts,
-    z_errors,
-    x_errors,
-    population,
-    events: _EventBuffer,
-) -> None:
+def _run_batch(tables: ChannelTables, m: int, rng: np.random.Generator) -> list[tuple]:
+    """The event records of one batch of ``m`` pulses, one per pulse class:
+    int8 columns (bell, basis, ia, ib, Alice's bit, Bob's raw bit, source
+    photons a, source photons b)."""
     # One uniform per party classifies each pulse's arriving photons into
     # {0, 1, 2+}.  Only pulses where both sides arrive, or where one side
     # carries a multi-photon bunch, need full materialization: a lone photon
@@ -412,37 +345,17 @@ def _run_batch(
 
     both = (class_a > 0) & (class_b > 0)
     heavy = both | ((class_a == 2) & (class_b == 0)) | ((class_b == 2) & (class_a == 0))
-    n_single_a = int(np.count_nonzero((class_a == 1) & (class_b == 0)))
-    n_single_b = int(np.count_nonzero((class_b == 1) & (class_a == 0)))
-    n_dark = int(np.count_nonzero((class_a == 0) & (class_b == 0)))
-
     recs = []
     if heavy.any():
         recs.append(_process_heavy(tables, class_a[heavy], class_b[heavy], rng))
-    for party, count in (("a", n_single_a), ("b", n_single_b)):
-        rec = _process_single_side(tables, party, count, rng)
-        if rec is not None:
-            recs.append(rec)
-    if n_dark:
-        rec = _process_dark(tables, n_dark, rng)
-        if rec is not None:
-            recs.append(rec)
-
-    for rec in recs:
-        bell, basis, ia, ib, abit, bbit, err, srca, srcb = rec
-        if len(bell) == 0:
-            continue
-        for basis_idx, counts, errors in ((0, z_counts, z_errors), (1, x_counts, x_errors)):
-            sel = basis == basis_idx
-            if not sel.any():
-                continue
-            np.add.at(counts, (bell[sel], ia[sel], ib[sel]), 1)
-            esel = sel & err
-            if esel.any():
-                np.add.at(errors, (bell[esel], ia[esel], ib[esel]), 1)
-        np.add.at(population, (bell, basis, ia, ib, srca, srcb), 1)
-        events.add(bell=bell, basis=basis, ia=ia, ib=ib, abit=abit, bbit=bbit,
-                   srca=srca, srcb=srcb)
+    # a lone arriving photon (or none) announces independently of its
+    # polarization; take the relay rows for H
+    k_a, k_b = zip(*_THINNED_ARRIVALS)
+    rows = tables.relay_outcomes(0, k_a, 0, k_b)
+    for (p_minus, p_plus), (arr_a, arr_b) in zip(rows, _THINNED_ARRIVALS):
+        count = int(np.count_nonzero((class_a == arr_a) & (class_b == arr_b)))
+        recs.append(_process_thinned(tables, count, p_minus, p_plus, arr_a, arr_b, rng))
+    return recs
 
 
 def _draw_party(tables: ChannelTables, party: str, klass: np.ndarray, rng):
@@ -492,18 +405,14 @@ def _process_heavy(tables: ChannelTables, class_a: np.ndarray, class_b: np.ndarr
     announced = is_minus | is_plus
     recorded = announced & (basis_a == basis_b)
     if not recorded.any():
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(9))
+        return _no_records()
 
     sel = np.flatnonzero(recorded)
     bell = np.where(is_minus[sel], 0, 1)
     basis = basis_a[sel]
     src_a = _draw_source_photons(tables, "a", ia[sel], arr_a[sel], rng)
     src_b = _draw_source_photons(tables, "b", ib[sel], arr_b[sel], rng)
-    abit = bit_a[sel]
-    raw_b = bit_b[sel]
-    bbit = _sift_bits(basis, bell, raw_b)
-    err = abit != bbit
-    return bell, basis, ia[sel], ib[sel], abit, bbit, err, src_a, src_b
+    return _records(bell, basis, ia[sel], ib[sel], bit_a[sel], bit_b[sel], src_a, src_b)
 
 
 def _process_thinned(
@@ -524,10 +433,10 @@ def _process_thinned(
     """
     total = p_minus + p_plus
     if total <= 0.0 or n_pulses == 0:
-        return None
+        return _no_records()
     count = int(rng.binomial(n_pulses, total))
     if count == 0:
-        return None
+        return _no_records()
     bell = (rng.random(count) >= p_minus / total).astype(np.int64)
     # both parties must share a basis, else the event is discarded in sifting
     pz = tables.basis_z_prob["a"] * tables.basis_z_prob["b"]
@@ -535,7 +444,7 @@ def _process_thinned(
     u = rng.random(count)
     keep = u < pz + px
     if not keep.any():
-        return None
+        return _no_records()
     bell = bell[keep]
     k = len(bell)
     basis = (u[keep] >= pz).astype(np.int64)
@@ -549,24 +458,9 @@ def _process_thinned(
     ib = np.minimum(np.searchsorted(cdf_b, rng.random(k), side="right"), 2)
     abit = rng.integers(0, 2, k)
     raw_b = rng.integers(0, 2, k)
-    bbit = _sift_bits(basis, bell, raw_b)
-    err = abit != bbit
     src_a = _draw_source_photons(tables, "a", ia, np.full(k, arr_a, dtype=np.int64), rng)
     src_b = _draw_source_photons(tables, "b", ib, np.full(k, arr_b, dtype=np.int64), rng)
-    return bell, basis, ia, ib, abit, bbit, err, src_a, src_b
-
-
-def _process_single_side(tables: ChannelTables, party: str, n_pulses: int, rng):
-    """One photon arrived from ``party``, nothing from the other side."""
-    p_minus, p_plus = tables.p_side_single[party]
-    arr_a, arr_b = (1, 0) if party == "a" else (0, 1)
-    return _process_thinned(tables, n_pulses, p_minus, p_plus, arr_a, arr_b, rng)
-
-
-def _process_dark(tables: ChannelTables, n_dark: int, rng):
-    """Pulses with no arriving photons: only dark coincidences announce."""
-    p_minus, p_plus = tables.p_dark
-    return _process_thinned(tables, n_dark, p_minus, p_plus, 0, 0, rng)
+    return _records(bell, basis, ia, ib, abit, raw_b, src_a, src_b)
 
 
 def _sift_bits(basis: np.ndarray, bell: np.ndarray, raw_bits: np.ndarray) -> np.ndarray:
@@ -589,19 +483,6 @@ def _draw_source_photons(tables, party, intensity, arrived, rng):
             idx = np.searchsorted(cdf[i, :, k], rng.random(cnt), side="right")
             out[mask] = np.minimum(idx, N_CUT)
     return out
-
-
-def expected_rates(
-    config_a: DecoySourceConfig,
-    config_b: DecoySourceConfig,
-    profile: SystemProfile,
-    tables: ChannelTables | None = None,
-) -> RateTable:
-    """Closed-form expected gains and error rates per (intensity pair, basis,
-    Bell state), for sizing Monte-Carlo runs and cross-checking them."""
-    if tables is None:
-        tables = ChannelTables(config_a, config_b, profile)
-    return tables.expected_rates()
 
 
 def _spread_counts(total: int, weights: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from mdiqds.protocol import (
 )
 from mdiqds.scenario import EXIT_OK, run, scenario_from_dict
 from mdiqds.security import min_entropy_bound
-from mdiqds.session import ChannelTables, StopRule, run_kgp_session
+from mdiqds.session import ChannelTables, run_kgp_session
 from mdiqds.sources import DecoySourceConfig, SystemProfile
 
 from fock_oracle import outcome_probs
@@ -157,10 +157,7 @@ def test_criterion_4_estimator_soundness():
     trials = {"n_k0": 0, "n_k1": 0, "e_k1": 0}
     resolved_n_k1 = 0
     for i in range(sessions):
-        sifted = run_kgp_session(
-            config, config, profile, StopRule(total_pulses=pulses),
-            seed=40_000 + i, tables=tables,
-        )
+        sifted = run_kgp_session(tables, pulses, seed=40_000 + i)
         result = estimate_yields(sifted, config, config, budget, seed=40_000 + i)
         keep_rng = np.random.default_rng(40_000 + i)
         for bell, est in result.estimates.items():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mdiqds import estimation
+from mdiqds.entropy import chernoff_delta
 from mdiqds.errors import DegenerateSessionError, DomainError
 from mdiqds.estimation import (
     ErrorBudget,
@@ -27,7 +28,7 @@ from mdiqds.estimation import (
     upper_bound_e_k1,
     _objective_minimum,
 )
-from mdiqds.session import ChannelTables, StopRule, expected_sifted_data, run_kgp_session
+from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import DecoySourceConfig, SystemProfile
 
 PUBLISHED_CONFIG = DecoySourceConfig(
@@ -363,14 +364,7 @@ class TestTrueErrorUpperBound:
 @pytest.fixture(scope="module")
 def rich_session():
     tables = ChannelTables(DESK_CONFIG, DESK_CONFIG, DESK_PROFILE)
-    return run_kgp_session(
-        DESK_CONFIG,
-        DESK_CONFIG,
-        DESK_PROFILE,
-        StopRule(total_pulses=20_000_000),
-        seed=12,
-        tables=tables,
-    )
+    return run_kgp_session(tables, 20_000_000, seed=12)
 
 
 class TestEstimateYields:
@@ -436,16 +430,13 @@ class TestEstimateYields:
             assert one.estimates[bell].to_dict() == two.estimates[bell].to_dict()
 
     def test_observed_method_more_conservative(self, rich_session):
-        lp = estimate_yields(
-            rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET,
-            seed=3, x_error_method="lp",
-        )
-        obs = estimate_yields(
-            rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET,
-            seed=3, x_error_method="observed",
-        )
+        # charging every observed signal-signal X error to single photons
+        # never gives a tighter bound than the joint error LP
+        lp = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
         for bell in (0, 1):
-            assert obs.estimates[bell].e_bar_k1 >= lp.estimates[bell].e_bar_k1
+            observed = float(rich_session.x_errors[bell, 0, 0])
+            delta = chernoff_delta(observed, DESK_BUDGET.eps_ke_x2) if observed else 0.0
+            assert observed + delta >= lp.estimates[bell].e_bar_k1
 
     def test_serialization_field_names(self, rich_session):
         res = estimate_yields(

@@ -137,7 +137,7 @@ class TestRelayBsm:
         rng = np.random.default_rng(3)
         tables = ChannelTables(CONFIG, CONFIG, IDEAL)
         assert announce(tables, 0, 0, 1, 0, 2000, rng)[2] == 2000
-        assert tuple(tables.p_dark) == (0.0, 0.0)
+        assert tuple(tables.relay_outcomes([0], [0], [1], [0])[0]) == (0.0, 0.0)
 
 
 class TestOneSideAnnouncements:

@@ -190,6 +190,16 @@ class TestCli:
         assert result.exit_code == 3, result.output
         assert "validation error" in result.output
 
+    def test_out_to_missing_directory(self, tmp_path, monkeypatch):
+        # rejected before the scenario runs, so a simulation does not compute first
+        monkeypatch.setattr("mdiqds.cli.run", lambda scenario: pytest.fail("scenario ran"))
+        out = tmp_path / "missing" / "report.json"
+        for mode in ("analytic", "simulate"):
+            result = CliRunner().invoke(main, [mode, "--seed", "1", "--out", str(out)])
+            assert result.exit_code == 3, result.output
+            assert result.output.startswith("validation error: ")
+            assert result.output.count("\n") == 1
+
     def test_simulate_infeasible_exit_code(self):
         runner = CliRunner()
         result = runner.invoke(

@@ -1,14 +1,14 @@
 """Session engine: determinism, accounting, and agreement with the
 closed-form expectations."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mdiqds.errors import BudgetExhaustedError
 from mdiqds.relay import RelayEngine
-from mdiqds.session import ChannelTables, StopRule, _sift_bits, expected_rates, run_kgp_session
+from mdiqds.session import ChannelTables, _sift_bits, expected_sifted_data, run_kgp_session
 from mdiqds.sources import BASES, N_CUT, POLARIZATION, DecoySourceConfig, SystemProfile
 
 PUBLISHED_CONFIG = DecoySourceConfig(
@@ -81,7 +81,7 @@ def favorable_tables():
 class TestExpectedRates:
     def test_ideal_z_error_free(self):
         profile = SystemProfile(distance_km=10.0, detector_efficiency=1.0)
-        rt = expected_rates(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile)
+        rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
         assert np.all(rt.error_rate[:, 0] == 0.0)
         assert np.all(rt.gain[:, 0, 0, 0] > 0.0)
 
@@ -99,7 +99,7 @@ class TestExpectedRates:
             profile = SystemProfile(
                 distance_km=d, detector_efficiency=0.145, dark_count_prob=6.02e-6
             )
-            rt = expected_rates(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile)
+            rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
             gains.append(rt.gain[0, 0, 0, 0])
         assert gains[1] < gains[0]
 
@@ -119,14 +119,7 @@ class TestExpectedRates:
 class TestSessionStatistics:
     def test_monte_carlo_within_3_sigma(self, favorable_tables):
         n = 1_000_000
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            FAVORABLE_PROFILE,
-            StopRule(total_pulses=n),
-            seed=2024,
-            tables=favorable_tables,
-        )
+        sd = run_kgp_session(favorable_tables, n, seed=2024)
         expected = favorable_tables.expected_rates().expected_set_sizes(n)
         for basis, counts in (("Z", sd.z_counts), ("X", sd.x_counts)):
             for bell in (0, 1):
@@ -142,14 +135,7 @@ class TestSessionStatistics:
 
     def test_error_rates_within_3_sigma(self, favorable_tables):
         n = 1_000_000
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            FAVORABLE_PROFILE,
-            StopRule(total_pulses=n),
-            seed=77,
-            tables=favorable_tables,
-        )
+        sd = run_kgp_session(favorable_tables, n, seed=77)
         rt = favorable_tables.expected_rates()
         for bell in (0, 1):
             m = sd.z_counts[bell, 0, 0]
@@ -159,50 +145,45 @@ class TestSessionStatistics:
             assert abs(e_obs - e_model) < 3 * sigma
 
     def test_determinism(self, favorable_tables):
-        kwargs = dict(
-            config_a=PUBLISHED_CONFIG,
-            config_b=PUBLISHED_CONFIG,
-            profile=FAVORABLE_PROFILE,
-            stop_rule=StopRule(total_pulses=200_000),
-            seed=99,
-            tables=favorable_tables,
-        )
-        one = run_kgp_session(**kwargs)
-        two = run_kgp_session(**kwargs)
+        one = run_kgp_session(favorable_tables, 200_000, seed=99)
+        two = run_kgp_session(favorable_tables, 200_000, seed=99)
         assert np.array_equal(one.z_counts, two.z_counts)
         assert np.array_equal(one.ev_alice_bit, two.ev_alice_bit)
         assert np.array_equal(one.ev_src_b, two.ev_src_b)
-        three = run_kgp_session(**{**kwargs, "seed": 100})
+        three = run_kgp_session(favorable_tables, 200_000, seed=100)
         assert not np.array_equal(one.ev_alice_bit, three.ev_alice_bit)
 
     def test_counts_match_event_lists(self, favorable_tables):
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            FAVORABLE_PROFILE,
-            StopRule(total_pulses=300_000),
-            seed=5,
-            tables=favorable_tables,
-        )
-        z_mask = sd.ev_basis == 0
-        cells = (sd.ev_bell[z_mask], sd.ev_ia[z_mask], sd.ev_ib[z_mask])
-        derived = np.zeros_like(sd.z_counts)
-        np.add.at(derived, cells, 1)
-        assert np.array_equal(derived, sd.z_counts)
-        mismatched = sd.ev_alice_bit[z_mask] != sd.ev_bob_bit[z_mask]
-        derived_errors = np.zeros_like(sd.z_errors)
-        np.add.at(derived_errors, cells, mismatched.astype(np.int64))
-        assert np.array_equal(derived_errors, sd.z_errors)
+        sd = run_kgp_session(favorable_tables, 300_000, seed=5)
+        mismatched = sd.ev_alice_bit != sd.ev_bob_bit
+        for basis, counts, errors in ((0, sd.z_counts, sd.z_errors),
+                                      (1, sd.x_counts, sd.x_errors)):
+            mask = sd.ev_basis == basis
+            cells = (sd.ev_bell[mask], sd.ev_ia[mask], sd.ev_ib[mask])
+            derived = np.zeros_like(counts)
+            np.add.at(derived, cells, 1)
+            assert np.array_equal(derived, counts)
+            derived_errors = np.zeros_like(errors)
+            np.add.at(derived_errors, cells, mismatched[mask].astype(np.int64))
+            assert np.array_equal(derived_errors, errors)
+            assert errors.sum() > 0
+        derived_population = np.zeros_like(sd.population)
+        np.add.at(derived_population, (sd.ev_bell, sd.ev_basis, sd.ev_ia, sd.ev_ib,
+                                       sd.ev_src_a, sd.ev_src_b), 1)
+        assert np.array_equal(derived_population, sd.population)
+
+    def test_event_columns_are_int8(self, favorable_tables):
+        montecarlo = run_kgp_session(favorable_tables, 100_000, seed=3)
+        expected = expected_sifted_data(favorable_tables.expected_rates(), 1e6)
+        assert len(montecarlo.ev_bell) > 0
+        for sd in (montecarlo, expected):
+            columns = [getattr(sd, f.name) for f in dataclasses.fields(sd)
+                       if f.name.startswith("ev_")]
+            assert len(columns) == 8
+            assert all(column.dtype == np.int8 for column in columns)
 
     def test_ground_truth_consistency(self, favorable_tables):
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            FAVORABLE_PROFILE,
-            StopRule(total_pulses=300_000),
-            seed=6,
-            tables=favorable_tables,
-        )
+        sd = run_kgp_session(favorable_tables, 300_000, seed=6)
         for bell in (0, 1):
             src_a, src_b = sd.signal_z_source_photons(bell)
             vacuum_b = int(np.sum(src_b == 0))
@@ -219,14 +200,7 @@ class TestPublishedErrorRate:
         # reduced scale with the tolerance widened by the sampling noise
         tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
         pulses = int(5.58e12 / 1e4)
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            PUBLISHED_PROFILE,
-            StopRule(total_pulses=pulses),
-            seed=31,
-            tables=tables,
-        )
+        sd = run_kgp_session(tables, pulses, seed=31)
         events = int(sd.z_counts[:, 0, 0].sum())
         errors = int(sd.z_errors[:, 0, 0].sum())
         observed = errors / events
@@ -234,46 +208,10 @@ class TestPublishedErrorRate:
         assert abs(observed - 0.0207) <= 0.002 + 3 * sigma
 
 
-class TestStopRules:
+class TestPulseBudget:
     def test_pulse_budget_accounting(self, favorable_tables):
-        sd = run_kgp_session(
-            PUBLISHED_CONFIG,
-            PUBLISHED_CONFIG,
-            FAVORABLE_PROFILE,
-            StopRule(total_pulses=123_456),
-            seed=1,
-            tables=favorable_tables,
-        )
+        sd = run_kgp_session(favorable_tables, 123_456, seed=1)
         assert sd.n_pulses == 123_456
-
-    def test_budget_exhausted(self, favorable_tables):
-        with pytest.raises(BudgetExhaustedError):
-            run_kgp_session(
-                PUBLISHED_CONFIG,
-                PUBLISHED_CONFIG,
-                FAVORABLE_PROFILE,
-                StopRule(total_pulses=10_000, min_z_per_set=10_000),
-                seed=1,
-                tables=favorable_tables,
-            )
-
-    def test_minima_stop(self):
-        # brighter decoys so the weakest intensity pair fills quickly
-        config = DecoySourceConfig(
-            intensities={"s": 0.5, "d1": 0.25, "d2": 0.1},
-            intensity_probs={"s": 0.5, "d1": 0.25, "d2": 0.25},
-            basis_probs={"Z": 0.5, "X": 0.5},
-        )
-        sd = run_kgp_session(
-            config,
-            config,
-            FAVORABLE_PROFILE,
-            StopRule(min_z_per_set=2, min_x_per_set=2),
-            seed=8,
-            batch_size=1 << 16,
-        )
-        assert sd.z_counts.min() >= 2
-        assert sd.x_counts.min() >= 2
 
 
 class TestScalarPipeline:

@@ -7,7 +7,7 @@ import pytest
 
 from mdiqds.errors import ValidationError
 from mdiqds.relay import RelayEngine
-from mdiqds.session import _POL_NAMES, ChannelTables, StopRule, run_kgp_session
+from mdiqds.session import _POL_NAMES, ChannelTables, run_kgp_session
 from mdiqds.sources import (
     POLARIZATION,
     DecoySourceConfig,
@@ -64,7 +64,7 @@ class TestSamplePulse:
             basis_probs={"Z": 1.0, "X": 0.0},
         )
         profile = SystemProfile(distance_km=0.0, dark_count_prob=0.01)
-        sd = run_kgp_session(cfg, cfg, profile, StopRule(total_pulses=200_000), seed=0)
+        sd = run_kgp_session(ChannelTables(cfg, cfg, profile), 200_000, seed=0)
         assert len(sd.ev_src_a) > 0
         assert not sd.ev_src_a.any() and not sd.ev_src_b.any()
         assert np.all(sd.ev_ia == 2) and np.all(sd.ev_ib == 2)
