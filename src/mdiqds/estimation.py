@@ -31,6 +31,9 @@ from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig
 
 _GRID = N_CUT + 1
 
+# spawn key of estimate_yields' random stream, (seed, _ESTIMATE_STREAM)
+_ESTIMATE_STREAM = 97
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -485,6 +488,11 @@ class EstimationResult:
         return min(usable, key=lambda b: usable[b].e_k1)
 
 
+def _estimate_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                        spawn_key=(_ESTIMATE_STREAM,)))
+
+
 def estimate_yields(
     sifted: SiftedData,
     config_a: DecoySourceConfig,
@@ -499,7 +507,7 @@ def estimate_yields(
     because the session only aborts when every Bell state fails.
     """
     pop = photon_population(config_a, config_b)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
+    rng = _estimate_rng(seed)
     estimates: dict[int, YieldEstimate] = {}
     for bell in (0, 1):
         size = int(sifted.z_counts[bell, 0, 0])

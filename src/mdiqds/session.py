@@ -1,27 +1,24 @@
-"""Key-generation sessions: vectorized Monte-Carlo runs and their closed-form
+"""Key-generation sessions: Monte-Carlo draws and their closed-form
 expectations.
 
-A session sends a fixed pulse budget, N_sig in the paper, in batches.  It
-keeps one record per announced event that both parties sifted in the same
-basis, and tallies every count (set sizes, error counts, the ground-truth
-photon-number population) from those records in one pass.
+A session sends a fixed pulse budget, N_sig in the paper.  In the model each
+pulse, on its own, either lands in one tally cell (Bell state, basis,
+intensity pair, whether the sifted bits disagree, source photon numbers n
+and m) or is not recorded: the relay announced nothing, or the parties chose
+different bases.  The pulses are independent and identically distributed, so
+a session's tally is exactly Multinomial(N_sig, p) over the 8,712 cells and
+one "not recorded" cell.  `run_kgp_session` makes that one draw, so its cost
+does not grow with the pulse budget, and takes every count it returns (set
+sizes, error counts, the ground-truth photon-number population) from it.
 
-The session engine samples every pulse of both transmitters, but defers
-drawing any variable that cannot influence the recorded data.  A pulse whose
-photons all die in fiber can only be announced through dark counts, and dark
-counts are independent of everything the parties chose, so those pulses are
-classified with one uniform draw each and only promoted to full events when
-the (rare) dark coincidence fires.
-
-The relay is untrusted, so the parties only see its announcement: the engine
-draws each announcement with one uniform against (P(psi_minus), P(psi_plus))
-for the relay input, read from the one relay table on `ChannelTables`.  The
-closed-form `expected_rates` contracts the same table with the channel's
-binomial-survival matrix and the source photon-number pmfs, so Monte-Carlo
-sessions are checked against those expectations, and the table itself
-against the brute-force Fock oracle in the tests.  Table entries are filled
-on first use, every missing entry of a lookup in one batched call to the
-relay engine.
+The relay is untrusted, so the parties only see its announcement.  The one
+relay table on `ChannelTables` holds (P(psi_minus), P(psi_plus)) per relay
+input; `expected_rates` contracts it once with the channel's
+binomial-survival matrix and the source photon-number pmfs into p, from
+which the closed-form gains, error rates and populations are also summed.
+The tests check p against a plain per-pulse sampler, and the table against
+the brute-force Fock oracle.  Table entries are filled on first use, every
+missing entry of a lookup in one batched call to the relay engine.
 """
 
 from __future__ import annotations
@@ -36,16 +33,10 @@ from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
 
 _POL_NAMES = ("H", "V", "D", "A")
 
-# pulses per batch; each batch draws from its own (seed, batch index) stream
-_BATCH_SIZE = 1 << 20
-
-# arrived photons (a, b) of the pulses announced only through a constant
-# probability: a lone photon from A, a lone photon from B, none.  Python ints,
-# so that comparing them with the int8 arrival classes stays in int8
-_THINNED_ARRIVALS = ((1, 0), (0, 1), (0, 0))
-
-# one cell per (bell, basis, ia, ib, error, source photons a, b) of an event
-_TALLY_SHAPE = (2, 2, 3, 3, 2, N_CUT + 1, N_CUT + 1)
+# spawn key of a session's random stream, (seed, _SESSION_STREAM); no other
+# consumer derives it: estimate_yields, which gets the same seed, takes
+# (seed, estimation._ESTIMATE_STREAM), and the protocol batteries the bare seed
+_SESSION_STREAM = 1
 
 # Contributions to the closed-form rates below this joint source probability
 # are skipped and accumulated into a reported residual bound.
@@ -61,16 +52,9 @@ def _binomial_matrix(t: float) -> np.ndarray:
     return b
 
 
-def _normalized_cdf(weights: np.ndarray) -> np.ndarray:
-    total = weights.sum()
-    if total <= 0:
-        return np.cumsum(np.full(weights.shape, 1.0 / weights.size))
-    return np.cumsum(weights / total)
-
-
 class ChannelTables:
-    """Per-(sources, profile) sampling tables shared by the Monte-Carlo and
-    closed-form paths."""
+    """Per-(sources, profile) tables: the relay table, channel survival and
+    source pmfs, and the rate table contracted from them."""
 
     def __init__(
         self,
@@ -92,13 +76,8 @@ class ChannelTables:
         self.intensity_probs = {}
         self.source_pmf = {}
         self.arrive_pmf = {}
-        self.src_given_arrive_cdf = {}
-        self.marginal_zero = {}
-        self.marginal_single = {}
-        self.zero_intensity_cdf = {}
-        self.single_intensity_cdf = {}
-        self.multi_joint_cdf = {}
-        self.multi_joint_cells = {}
+        self.marginal_zero = {}  # P(no photon arrives); read by perfbench/tracing.py
+        self.marginal_single = {}  # P(one photon arrives); read by perfbench/tracing.py
         self.basis_z_prob = {}
         for party, cfg in (("a", config_a), ("b", config_b)):
             probs = np.array([cfg.intensity_probs[l] for l in INTENSITY_LABELS])
@@ -107,20 +86,8 @@ class ChannelTables:
             self.source_pmf[party] = pmf
             arrive = pmf @ self.binom_survive
             self.arrive_pmf[party] = arrive
-            # source photon number given (intensity, arrived count), by Bayes
-            cond = pmf[:, :, None] * self.binom_survive[None, :, :]
-            sums = cond.sum(axis=1, keepdims=True)
-            sums[sums == 0.0] = 1.0
-            self.src_given_arrive_cdf[party] = np.cumsum(cond / sums, axis=1)
             self.marginal_zero[party] = float(probs @ arrive[:, 0])
             self.marginal_single[party] = float(probs @ arrive[:, 1])
-            self.zero_intensity_cdf[party] = _normalized_cdf(probs * arrive[:, 0])
-            self.single_intensity_cdf[party] = _normalized_cdf(probs * arrive[:, 1])
-            multi = probs[:, None] * arrive[:, 2:]
-            self.multi_joint_cells[party] = np.array(
-                [(i, k) for i in range(3) for k in range(2, N_CUT + 1)]
-            )
-            self.multi_joint_cdf[party] = _normalized_cdf(multi.reshape(-1))
             self.basis_z_prob[party] = cfg.basis_probs["Z"]
 
         self._rates = None
@@ -142,9 +109,10 @@ class ChannelTables:
     # -- closed-form expectations ------------------------------------------
 
     def expected_rates(self) -> "RateTable":
-        """Exact per-cell announcement and error expectations under the same
-        source, loss, misalignment, detector and dark-count model as the
-        Monte-Carlo path (photon numbers truncated at N_CUT)."""
+        """Exact per-cell announcement and error expectations under the
+        source, loss, misalignment, detector and dark-count model (photon
+        numbers truncated at N_CUT), and the per-pulse tally-cell
+        probabilities that a Monte-Carlo session draws from."""
         if self._rates is not None:
             return self._rates
         # w[ia, ib, n, m]: probability of one polarization pair of a basis
@@ -164,29 +132,37 @@ class ChannelTables:
         self.relay_outcomes(*np.broadcast_arrays(
             pol_a.reshape(-1, 1), k_a, pol_b.reshape(-1, 1), k_b))
 
-        # s[basis, bit_a, bit_b, bell, n, m]: announcement probability for
-        # n and m photons sent, summed over the photons that arrive; an
-        # entry left unfilled only ever meets a zero weight
+        # split[basis, bit_a, bit_b, bell, error]: whether Bob's sifted bit
+        # disagrees with Alice's, one-hot
+        is_error = bit_a[..., None] != _sift_bits(basis[..., None], np.arange(2),
+                                                  bit_b[..., None])
+        split = np.stack([~is_error, is_error], axis=-1).astype(float)
+        # s[bell, basis, error, n, m]: announcement probability for n and m
+        # photons sent, summed over the photons that arrive and the
+        # polarization pairs; an entry of the relay table left unfilled only
+        # ever meets a zero weight
         relay = np.nan_to_num(self.relay[pol_a, :, pol_b])
-        s = np.einsum("nk,ml,xyzklb->xyzbnm", surv, surv, relay, optimize=True)
-        # contrib[basis, bit_a, bit_b, bell, ia, ib, n, m]
-        contrib = s[:, :, :, :, None, None] * w
-        cell = contrib.sum(axis=(6, 7))
-        bell = np.arange(2)
-        is_error = bit_a[..., None] != _sift_bits(basis[..., None], bell, bit_b[..., None])
-        gain = cell.sum(axis=(1, 2)).swapaxes(0, 1)
-        err = (cell * is_error[..., None, None]).sum(axis=(1, 2)).swapaxes(0, 1)
-        population = contrib.sum(axis=(1, 2)).swapaxes(0, 1)
+        s = np.einsum("nk,ml,xyzklb,xyzbe->bxenm", surv, surv, relay, split, optimize=True)
+        # contrib[bell, basis, ia, ib, error, n, m], given the intensity pair
+        # and that both parties chose that basis
+        contrib = s[:, :, None, None] * w[:, :, None]
+        population = contrib.sum(axis=4)
+        gain = population.sum(axis=(-2, -1))
+        err = contrib[:, :, :, :, 1].sum(axis=(-2, -1))
         error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
+        pa, pb = self.intensity_probs["a"], self.intensity_probs["b"]
         pz_a, pz_b = self.basis_z_prob["a"], self.basis_z_prob["b"]
+        basis_match = np.array([pz_a * pz_b, (1.0 - pz_a) * (1.0 - pz_b)])
+        choices = basis_match[:, None, None] * pa[:, None] * pb
         self._rates = RateTable(
             gain=gain,
             error_rate=error_rate,
             population=population,
+            cell_probs=contrib * choices[:, :, :, None, None, None],
             residual=residual,
-            intensity_probs_a=self.intensity_probs["a"],
-            intensity_probs_b=self.intensity_probs["b"],
-            basis_match_probs=np.array([pz_a * pz_b, (1.0 - pz_a) * (1.0 - pz_b)]),
+            intensity_probs_a=pa,
+            intensity_probs_b=pb,
+            basis_match_probs=basis_match,
         )
         return self._rates
 
@@ -198,12 +174,15 @@ class RateTable:
 
     ``gain[bell, basis, ia, ib]`` is P(announce bell | cell); ``error_rate``
     is the conditional sifted mismatch fraction; ``population[..., n, m]``
-    resolves the gain by source photon numbers.
+    resolves the gain by source photon numbers.  ``cell_probs[bell, basis,
+    ia, ib, error, n, m]`` is unconditional: the probability that one pulse
+    is recorded in that tally cell.
     """
 
     gain: np.ndarray
     error_rate: np.ndarray
     population: np.ndarray
+    cell_probs: np.ndarray
     residual: float
     intensity_probs_a: np.ndarray
     intensity_probs_b: np.ndarray
@@ -230,29 +209,16 @@ class RateTable:
         return scaled
 
 
-def _no_events() -> np.ndarray:
-    return np.empty(0, dtype=np.int8)
-
-
-def _records(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Event-record columns in int8, so the records a session keeps until it
-    ends take 8 bytes per event."""
-    return tuple(column.astype(np.int8) for column in columns)
-
-
-def _no_records() -> tuple[np.ndarray, ...]:
-    return tuple(_no_events() for _ in range(8))
-
-
 @dataclass
 class SiftedData:
-    """Accumulated sifting output of one key-generation session.
+    """Counts of one key-generation session, indexed (bell, basis, ia, ib).
 
-    The estimators read only the counts.  A Monte-Carlo session also keeps
-    per-event records of every announced coincidence: Bell state, basis,
-    intensity pair, the paired bits after Bob's flip, and the true source
-    photon numbers (ground truth, for estimator validation only).  The
-    closed-form session of `expected_sifted_data` leaves them empty.
+    The estimators read only the set sizes and error counts.
+    ``population[bell, basis, ia, ib, n, m]`` counts the recorded events by
+    their true source photon numbers, and ``error_population`` counts the
+    sifted mismatches among them the same way.  Both are ground truth, for
+    estimator validation only; the closed-form session of
+    `expected_sifted_data` leaves ``error_population`` unset.
     """
 
     n_pulses: int
@@ -261,54 +227,25 @@ class SiftedData:
     z_errors: np.ndarray
     x_errors: np.ndarray
     population: np.ndarray
-    ev_bell: np.ndarray = field(default_factory=_no_events)
-    ev_basis: np.ndarray = field(default_factory=_no_events)
-    ev_ia: np.ndarray = field(default_factory=_no_events)
-    ev_ib: np.ndarray = field(default_factory=_no_events)
-    ev_alice_bit: np.ndarray = field(default_factory=_no_events)
-    ev_bob_bit: np.ndarray = field(default_factory=_no_events)
-    ev_src_a: np.ndarray = field(default_factory=_no_events)
-    ev_src_b: np.ndarray = field(default_factory=_no_events)
-
-    def _event_mask(self, basis_idx, bell_idx, ia, ib):
-        return (
-            (self.ev_basis == basis_idx)
-            & (self.ev_bell == bell_idx)
-            & (self.ev_ia == ia)
-            & (self.ev_ib == ib)
-        )
-
-    def signal_z_source_photons(self, bell_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        mask = self._event_mask(0, bell_idx, 0, 0)
-        return self.ev_src_a[mask], self.ev_src_b[mask]
-
-    def signal_x_truth(self, bell_idx: int):
-        """(errors, src_a, src_b) for the signal-signal X set."""
-        mask = self._event_mask(1, bell_idx, 0, 0)
-        errors = self.ev_alice_bit[mask] != self.ev_bob_bit[mask]
-        return errors, self.ev_src_a[mask], self.ev_src_b[mask]
+    error_population: np.ndarray | None = None
+    # always empty; read by perfbench/tracing.py's event counters
+    ev_bell: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
 
 
 def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedData:
     """Run one measurement-device-independent key-generation session of
     ``n_pulses`` pulses through the link that ``tables`` describes.
 
-    Deterministic for a fixed seed: every batch derives its random stream
-    from (seed, batch index), so results do not depend on scheduling.
+    The whole tally is one multinomial draw over the cells of
+    `RateTable.cell_probs` and a "not recorded" cell, which also takes the
+    residual mass below the rate floor.  Deterministic for a fixed seed.
     """
-    records = [_no_records()]
-    for batch_idx, start in enumerate(range(0, n_pulses, _BATCH_SIZE)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_idx,)))
-        records += _run_batch(tables, min(_BATCH_SIZE, n_pulses - start), rng)
-    bell, basis, ia, ib, alice, raw_bob, src_a, src_b = (
-        np.concatenate(column) for column in zip(*records)
-    )
-    bob = _sift_bits(basis, bell, raw_bob)
-    tally = np.bincount(
-        np.ravel_multi_index((bell, basis, ia, ib, alice != bob, src_a, src_b), _TALLY_SHAPE),
-        minlength=math.prod(_TALLY_SHAPE),
-    ).reshape(_TALLY_SHAPE)
-    cells = tally.sum(axis=(5, 6))  # (bell, basis, ia, ib, error)
+    probs = tables.expected_rates().cell_probs
+    flat = probs.ravel()
+    rng = _session_rng(seed)
+    tally = rng.multinomial(n_pulses, np.append(flat, 1.0 - flat.sum()))[:-1]
+    tally = tally.reshape(probs.shape)  # (bell, basis, ia, ib, error, n, m)
+    cells = tally.sum(axis=(5, 6))
     return SiftedData(
         n_pulses=n_pulses,
         z_counts=cells[:, 0].sum(axis=-1),
@@ -316,173 +253,18 @@ def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedDa
         z_errors=cells[:, 0, ..., 1],
         x_errors=cells[:, 1, ..., 1],
         population=tally.sum(axis=4),
-        ev_bell=bell,
-        ev_basis=basis,
-        ev_ia=ia,
-        ev_ib=ib,
-        ev_alice_bit=alice,
-        ev_bob_bit=bob,
-        ev_src_a=src_a,
-        ev_src_b=src_b,
+        error_population=tally[:, :, :, :, 1],
     )
 
 
-def _run_batch(tables: ChannelTables, m: int, rng: np.random.Generator) -> list[tuple]:
-    """The event records of one batch of ``m`` pulses, one per pulse class:
-    int8 columns (bell, basis, ia, ib, Alice's bit, Bob's raw bit, source
-    photons a, source photons b)."""
-    # One uniform per party classifies each pulse's arriving photons into
-    # {0, 1, 2+}.  Only pulses where both sides arrive, or where one side
-    # carries a multi-photon bunch, need full materialization: a lone photon
-    # (or nothing) can only be announced through dark counts, with a
-    # polarization-independent probability handled by thinned counts.
-    u_a = rng.random(m)
-    u_b = rng.random(m)
-    z0_a, z1_a = tables.marginal_zero["a"], tables.marginal_single["a"]
-    z0_b, z1_b = tables.marginal_zero["b"], tables.marginal_single["b"]
-    class_a = (u_a >= z0_a).astype(np.int8) + (u_a >= z0_a + z1_a).astype(np.int8)
-    class_b = (u_b >= z0_b).astype(np.int8) + (u_b >= z0_b + z1_b).astype(np.int8)
-
-    both = (class_a > 0) & (class_b > 0)
-    heavy = both | ((class_a == 2) & (class_b == 0)) | ((class_b == 2) & (class_a == 0))
-    recs = []
-    if heavy.any():
-        recs.append(_process_heavy(tables, class_a[heavy], class_b[heavy], rng))
-    # a lone arriving photon (or none) announces independently of its
-    # polarization; take the relay rows for H
-    k_a, k_b = zip(*_THINNED_ARRIVALS)
-    rows = tables.relay_outcomes(0, k_a, 0, k_b)
-    for (p_minus, p_plus), (arr_a, arr_b) in zip(rows, _THINNED_ARRIVALS):
-        count = int(np.count_nonzero((class_a == arr_a) & (class_b == arr_b)))
-        recs.append(_process_thinned(tables, count, p_minus, p_plus, arr_a, arr_b, rng))
-    return recs
-
-
-def _draw_party(tables: ChannelTables, party: str, klass: np.ndarray, rng):
-    """Intensity index and arriving photon count for one party of the heavy
-    subset, conditioned on its arrival class (0, 1, or 2+)."""
-    n = len(klass)
-    intensity = np.empty(n, dtype=np.int64)
-    arrived = np.zeros(n, dtype=np.int64)
-    for value, cdf in (
-        (0, tables.zero_intensity_cdf[party]),
-        (1, tables.single_intensity_cdf[party]),
-    ):
-        mask = klass == value
-        cnt = int(np.count_nonzero(mask))
-        if cnt:
-            idx = np.searchsorted(cdf, rng.random(cnt), side="right")
-            intensity[mask] = np.minimum(idx, 2)
-            arrived[mask] = value
-    mask = klass == 2
-    cnt = int(np.count_nonzero(mask))
-    if cnt:
-        cells = tables.multi_joint_cells[party]
-        idx = np.searchsorted(tables.multi_joint_cdf[party], rng.random(cnt), side="right")
-        idx = np.minimum(idx, len(cells) - 1)
-        intensity[mask] = cells[idx, 0]
-        arrived[mask] = cells[idx, 1]
-    return intensity, arrived
-
-
-def _process_heavy(tables: ChannelTables, class_a: np.ndarray, class_b: np.ndarray, rng):
-    """Fully materialize pulses whose relay input needs the Fock engine."""
-    n = len(class_a)
-    ia, arr_a = _draw_party(tables, "a", class_a, rng)
-    ib, arr_b = _draw_party(tables, "b", class_b, rng)
-    basis_a = (rng.random(n) >= tables.basis_z_prob["a"]).astype(np.int64)
-    basis_b = (rng.random(n) >= tables.basis_z_prob["b"]).astype(np.int64)
-    bit_a = rng.integers(0, 2, n)
-    bit_b = rng.integers(0, 2, n)
-
-    # basis 0 = Z (H/V by bit), basis 1 = X (D/A by bit)
-    pol_a = basis_a * 2 + bit_a
-    pol_b = basis_b * 2 + bit_b
-    probs = tables.relay_outcomes(pol_a, arr_a, pol_b, arr_b)
-    u = rng.random(n)
-    is_minus = u < probs[:, 0]
-    is_plus = (~is_minus) & (u < probs[:, 0] + probs[:, 1])
-    announced = is_minus | is_plus
-    recorded = announced & (basis_a == basis_b)
-    if not recorded.any():
-        return _no_records()
-
-    sel = np.flatnonzero(recorded)
-    bell = np.where(is_minus[sel], 0, 1)
-    basis = basis_a[sel]
-    src_a = _draw_source_photons(tables, "a", ia[sel], arr_a[sel], rng)
-    src_b = _draw_source_photons(tables, "b", ib[sel], arr_b[sel], rng)
-    return _records(bell, basis, ia[sel], ib[sel], bit_a[sel], bit_b[sel], src_a, src_b)
-
-
-def _process_thinned(
-    tables: ChannelTables,
-    n_pulses: int,
-    p_minus: float,
-    p_plus: float,
-    arr_a: int,
-    arr_b: int,
-    rng,
-):
-    """Announcements among pulses whose outcome probability is a known
-    constant (no arriving photons, or one lone photon on a single side).
-
-    The per-pulse Bernoulli announcement is drawn as one binomial count
-    (exact thinning; the probability is independent of every per-pulse
-    choice), then attributes are drawn per announced event.
-    """
-    total = p_minus + p_plus
-    if total <= 0.0 or n_pulses == 0:
-        return _no_records()
-    count = int(rng.binomial(n_pulses, total))
-    if count == 0:
-        return _no_records()
-    bell = (rng.random(count) >= p_minus / total).astype(np.int64)
-    # both parties must share a basis, else the event is discarded in sifting
-    pz = tables.basis_z_prob["a"] * tables.basis_z_prob["b"]
-    px = (1.0 - tables.basis_z_prob["a"]) * (1.0 - tables.basis_z_prob["b"])
-    u = rng.random(count)
-    keep = u < pz + px
-    if not keep.any():
-        return _no_records()
-    bell = bell[keep]
-    k = len(bell)
-    basis = (u[keep] >= pz).astype(np.int64)
-    cdf_a = (
-        tables.single_intensity_cdf["a"] if arr_a else tables.zero_intensity_cdf["a"]
-    )
-    cdf_b = (
-        tables.single_intensity_cdf["b"] if arr_b else tables.zero_intensity_cdf["b"]
-    )
-    ia = np.minimum(np.searchsorted(cdf_a, rng.random(k), side="right"), 2)
-    ib = np.minimum(np.searchsorted(cdf_b, rng.random(k), side="right"), 2)
-    abit = rng.integers(0, 2, k)
-    raw_b = rng.integers(0, 2, k)
-    src_a = _draw_source_photons(tables, "a", ia, np.full(k, arr_a, dtype=np.int64), rng)
-    src_b = _draw_source_photons(tables, "b", ib, np.full(k, arr_b, dtype=np.int64), rng)
-    return _records(bell, basis, ia, ib, abit, raw_b, src_a, src_b)
+def _session_rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                        spawn_key=(_SESSION_STREAM,)))
 
 
 def _sift_bits(basis: np.ndarray, bell: np.ndarray, raw_bits: np.ndarray) -> np.ndarray:
     flip = (basis == 0) | (bell == 0)
     return raw_bits ^ flip.astype(raw_bits.dtype)
-
-
-def _draw_source_photons(tables, party, intensity, arrived, rng):
-    """Ground-truth source photon numbers for recorded events, drawn from the
-    exact conditional given (intensity, arrived)."""
-    n = len(intensity)
-    out = np.empty(n, dtype=np.int64)
-    cdf = tables.src_given_arrive_cdf[party]
-    for i in range(3):
-        for k in np.unique(arrived[intensity == i]):
-            mask = (intensity == i) & (arrived == k)
-            cnt = int(np.count_nonzero(mask))
-            if cnt == 0:
-                continue
-            idx = np.searchsorted(cdf[i, :, k], rng.random(cnt), side="right")
-            out[mask] = np.minimum(idx, N_CUT)
-    return out
 
 
 def _spread_counts(total: int, weights: np.ndarray) -> np.ndarray:
@@ -500,9 +282,9 @@ def _spread_counts(total: int, weights: np.ndarray) -> np.ndarray:
 
 def expected_sifted_data(rates: RateTable, n_pulses: float) -> SiftedData:
     """Deterministic session whose counts equal the rounded closed-form
-    expectations.  Used to size budgets and to exercise the estimators at
-    scales a desk cannot simulate; it holds counts only, so its size does
-    not grow with the pulse budget."""
+    expectations.  Used to size budgets, where sampling noise would only
+    blur the length search; it holds counts only, so its size does not grow
+    with the pulse budget."""
     sizes = rates.expected_set_sizes(n_pulses)
     pop_expected = rates.expected_population(n_pulses)
     z_counts = np.round(sizes["Z"]).astype(np.int64)

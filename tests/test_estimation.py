@@ -29,7 +29,7 @@ from mdiqds.estimation import (
     _objective_minimum,
 )
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
-from mdiqds.sources import DecoySourceConfig, SystemProfile
+from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -393,19 +393,21 @@ class TestEstimateYields:
             if est.n_k == 0:
                 continue
             checked += 1
-            src_a, src_b = rich_session.signal_z_source_photons(bell)
-            # the bounds hold for a uniformly random keep half of the code string
-            keep = rng.choice(len(src_a), est.n_half, replace=False)
-            true_vacuum = int(np.sum(src_b[keep] == 0))
-            true_single = int(np.sum((src_a[keep] == 1) & (src_b[keep] == 1)))
+            # the bounds hold for a uniformly random keep half of the code
+            # string: a draw without replacement from its (n, m) population
+            keep = rng.multivariate_hypergeometric(
+                rich_session.population[bell, 0, 0, 0].ravel(), est.n_half
+            ).reshape(N_CUT + 1, N_CUT + 1)
+            true_vacuum = int(keep[:, 0].sum())
+            true_single = int(keep[1, 1])
             assert est.n_k1 > 0  # the desk design resolves the single-pair bound
             assert est.n_k0 <= true_vacuum
             assert est.n_k1 <= true_single
             if est.usable:
-                errors, xs_a, xs_b = rich_session.signal_x_truth(bell)
-                singles = (xs_a == 1) & (xs_b == 1)
-                if singles.any():
-                    assert est.e_k1 >= errors[singles].mean()
+                singles = rich_session.population[bell, 1, 0, 0, 1, 1]
+                if singles:
+                    errors = rich_session.error_population[bell, 1, 0, 0, 1, 1]
+                    assert est.e_k1 >= errors / singles
         assert checked == 2
 
     def test_code_string_length(self, rich_session):

@@ -26,7 +26,8 @@ def engine_outcome(pol_a, k_a, pol_b, k_b, eta=1.0, dark=0.0):
 def announce(tables, pol_a, k_a, pol_b, k_b, shots, rng):
     """Counts of (psi_minus, psi_plus, failure) over ``shots`` copies of one
     relay input (polarization indices H, V, D, A = 0..3), drawn as the
-    session engine draws them: one uniform per shot against the relay table."""
+    per-pulse reference sampler of the session tests draws them: one uniform
+    per shot against the relay table."""
     probs = tables.relay_outcomes(*(np.full(shots, i) for i in (pol_a, k_a, pol_b, k_b)))
     u = rng.random(shots)
     outcome = (u >= probs[:, 0]).astype(np.int64) + (u >= probs[:, 0] + probs[:, 1])
@@ -146,9 +147,8 @@ class TestOneSideAnnouncements:
         [(1.0, 0.0, 0.0), (0.145, 6.02e-6, 0.01), (0.93, 5e-4, 0.3), (0.5, 0.01, 1.0)],
     )
     def test_polarization_independence(self, eta, dark, mis):
-        # the session engine thins single-side pulses with one constant per
-        # party; that is only exact if a lone photon announces independently
-        # of its polarization, frame rotation included
+        # a lone photon announces (through a dark count on the other side)
+        # independently of its polarization, frame rotation included
         engine = RelayEngine(eta, dark, mis)
         values = set()
         for pol in "HVDA":

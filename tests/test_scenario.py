@@ -207,6 +207,17 @@ class TestCli:
         )
         assert result.exit_code == 2
 
+    def test_simulate_at_full_scale(self):
+        # the published operating point: 5.58e12 pulses per session
+        result = CliRunner().invoke(main, ["simulate", "--seed", "7", "--scale", "1"])
+        assert result.exit_code in (EXIT_OK, EXIT_INFEASIBLE)
+        payload = json.loads(result.output)
+        assert payload["sessions"]["alice_bob"]["n_pulses"] == int(5.58e12)
+        if payload["security"] is None:
+            assert payload["infeasible_reason"]
+        else:
+            assert payload["security"]["feasible"] == (result.exit_code == EXIT_OK)
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(

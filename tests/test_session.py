@@ -1,15 +1,29 @@
-"""Session engine: determinism, accounting, and agreement with the
-closed-form expectations."""
+"""Sessions: determinism, accounting, and agreement of the multinomial draw
+with the closed-form expectations and with a per-pulse reference sampler."""
 
-import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from mdiqds.estimation import _estimate_rng
 from mdiqds.relay import RelayEngine
-from mdiqds.session import ChannelTables, _sift_bits, expected_sifted_data, run_kgp_session
-from mdiqds.sources import BASES, N_CUT, POLARIZATION, DecoySourceConfig, SystemProfile
+from mdiqds.session import (
+    ChannelTables,
+    _session_rng,
+    _sift_bits,
+    run_kgp_session,
+)
+from mdiqds.sources import (
+    BASES,
+    INTENSITY_LABELS,
+    N_CUT,
+    POLARIZATION,
+    DecoySourceConfig,
+    SystemProfile,
+)
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -71,6 +85,72 @@ def scalar_expected_rates(tables):
                                         err[bell, basis_idx, ia, ib] += p
     error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
     return gain, error_rate, population, residual
+
+
+def sample_pulses(tables, n_pulses, rng):
+    """Reference for the session draw: every pulse sampled on its own from
+    the model, straight through (intensity, basis and bit per party, photons
+    sent, photons surviving, relay announcement, sifting).  Returns the
+    (bell, basis, ia, ib, error, n, m) tally of the recorded pulses."""
+    survive = tables.profile.transmittance()
+    party = {}
+    for name, cfg in (("a", tables.config_a), ("b", tables.config_b)):
+        intensity = rng.choice(3, n_pulses, p=[cfg.intensity_probs[l] for l in INTENSITY_LABELS])
+        basis = (rng.random(n_pulses) >= cfg.basis_probs["Z"]).astype(np.int64)
+        bit = rng.integers(0, 2, n_pulses)
+        u = rng.random(n_pulses)
+        sent = np.empty(n_pulses, dtype=np.int64)
+        for i, label in enumerate(INTENSITY_LABELS):
+            mask = intensity == i
+            cdf = np.cumsum(cfg.photon_pmf(label))
+            sent[mask] = np.minimum(np.searchsorted(cdf, u[mask], side="right"), N_CUT)
+        arrived = rng.binomial(sent, survive)
+        party[name] = intensity, basis, bit, sent, arrived
+    ia, basis_a, bit_a, n, k_a = party["a"]
+    ib, basis_b, bit_b, m, k_b = party["b"]
+    # polarization index: H, V in Z and D, A in X, by bit
+    probs = tables.relay_outcomes(2 * basis_a + bit_a, k_a, 2 * basis_b + bit_b, k_b)
+    u = rng.random(n_pulses)
+    bell = np.where(u < probs[:, 0], 0, 1)
+    recorded = (u < probs[:, 0] + probs[:, 1]) & (basis_a == basis_b)
+    # Bob flips in Z, and in X on psi_minus
+    bob = bit_b ^ ((basis_b == 0) | (bell == 0))
+    cells = (bell, basis_a, ia, ib, (bit_a != bob).astype(np.int64), n, m)
+    tally = np.zeros((2, 2, 3, 3, 2, N_CUT + 1, N_CUT + 1), dtype=np.int64)
+    np.add.at(tally, tuple(c[recorded] for c in cells), 1)
+    return tally
+
+
+def chi_square_p(observed, expected, min_expected=5.0):
+    """Pearson chi-square p-value of counts against their expectation, with
+    the cells expected below ``min_expected`` pooled into one."""
+    observed, expected = np.ravel(observed), np.ravel(expected)
+    small = expected < min_expected
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    return chi2.sf(stat, len(obs) - 1)
+
+
+# the acceptance-4 bright link, with two different transmitters so that a
+# mix-up of the parties' photon numbers shows
+BRIGHT_PROFILE = SystemProfile(
+    distance_km=1.0,
+    loss_coeff_db_per_km=0.2,
+    detector_efficiency=0.93,
+    dark_count_prob=1e-6,
+    misalignment=0.01,
+)
+BRIGHT_CONFIG_A = DecoySourceConfig(
+    intensities={"s": 0.7, "d1": 0.25, "d2": 0.03},
+    intensity_probs={"s": 0.5, "d1": 0.25, "d2": 0.25},
+    basis_probs={"Z": 0.5, "X": 0.5},
+)
+BRIGHT_CONFIG_B = DecoySourceConfig(
+    intensities={"s": 0.4, "d1": 0.1, "d2": 0.01},
+    intensity_probs={"s": 0.6, "d1": 0.3, "d2": 0.1},
+    basis_probs={"Z": 0.7, "X": 0.3},
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,49 +228,62 @@ class TestSessionStatistics:
         one = run_kgp_session(favorable_tables, 200_000, seed=99)
         two = run_kgp_session(favorable_tables, 200_000, seed=99)
         assert np.array_equal(one.z_counts, two.z_counts)
-        assert np.array_equal(one.ev_alice_bit, two.ev_alice_bit)
-        assert np.array_equal(one.ev_src_b, two.ev_src_b)
+        assert np.array_equal(one.population, two.population)
+        assert np.array_equal(one.error_population, two.error_population)
         three = run_kgp_session(favorable_tables, 200_000, seed=100)
-        assert not np.array_equal(one.ev_alice_bit, three.ev_alice_bit)
+        assert not np.array_equal(one.population, three.population)
 
-    def test_counts_match_event_lists(self, favorable_tables):
+    def test_counts_match_tally(self, favorable_tables):
+        # every count is a marginal of the one (bell, basis, ia, ib, error,
+        # n, m) tally
         sd = run_kgp_session(favorable_tables, 300_000, seed=5)
-        mismatched = sd.ev_alice_bit != sd.ev_bob_bit
-        for basis, counts, errors in ((0, sd.z_counts, sd.z_errors),
-                                      (1, sd.x_counts, sd.x_errors)):
-            mask = sd.ev_basis == basis
-            cells = (sd.ev_bell[mask], sd.ev_ia[mask], sd.ev_ib[mask])
-            derived = np.zeros_like(counts)
-            np.add.at(derived, cells, 1)
-            assert np.array_equal(derived, counts)
-            derived_errors = np.zeros_like(errors)
-            np.add.at(derived_errors, cells, mismatched[mask].astype(np.int64))
-            assert np.array_equal(derived_errors, errors)
-            assert errors.sum() > 0
-        derived_population = np.zeros_like(sd.population)
-        np.add.at(derived_population, (sd.ev_bell, sd.ev_basis, sd.ev_ia, sd.ev_ib,
-                                       sd.ev_src_a, sd.ev_src_b), 1)
-        assert np.array_equal(derived_population, sd.population)
-
-    def test_event_columns_are_int8(self, favorable_tables):
-        montecarlo = run_kgp_session(favorable_tables, 100_000, seed=3)
-        expected = expected_sifted_data(favorable_tables.expected_rates(), 1e6)
-        assert len(montecarlo.ev_bell) > 0
-        for sd in (montecarlo, expected):
-            columns = [getattr(sd, f.name) for f in dataclasses.fields(sd)
-                       if f.name.startswith("ev_")]
-            assert len(columns) == 8
-            assert all(column.dtype == np.int8 for column in columns)
+        sizes = sd.population.sum(axis=(-2, -1))
+        errors = sd.error_population.sum(axis=(-2, -1))
+        for basis, counts, errs in ((0, sd.z_counts, sd.z_errors),
+                                    (1, sd.x_counts, sd.x_errors)):
+            assert np.array_equal(sizes[:, basis], counts)
+            assert np.array_equal(errors[:, basis], errs)
+            assert errs.sum() > 0
+        assert np.all(sd.error_population <= sd.population)
 
     def test_ground_truth_consistency(self, favorable_tables):
-        sd = run_kgp_session(favorable_tables, 300_000, seed=6)
-        for bell in (0, 1):
-            src_a, src_b = sd.signal_z_source_photons(bell)
-            vacuum_b = int(np.sum(src_b == 0))
-            assert vacuum_b == sd.population[bell, 0, 0, 0, :, 0].sum()
-            pairs_11 = int(np.sum((src_a == 1) & (src_b == 1)))
-            assert pairs_11 == sd.population[bell, 0, 0, 0, 1, 1]
-        assert sd.population.sum() == len(sd.ev_bell)
+        n = 300_000
+        sd = run_kgp_session(favorable_tables, n, seed=6)
+        assert sd.population.sum() == sd.z_counts.sum() + sd.x_counts.sum()
+        # the signal-signal Z ground truth sits at the closed-form population
+        expected = favorable_tables.expected_rates().expected_population(n)[:, 0, 0, 0]
+        observed = sd.population[:, 0, 0, 0]
+        resolved = expected > 50
+        assert resolved[:, 1, 1].all()
+        assert np.all(np.abs(observed - expected)[resolved] < 4 * np.sqrt(expected[resolved]))
+
+    def test_cells_match_per_pulse_sampler(self):
+        # the multinomial cell probabilities against pulses sampled one by
+        # one: a chi-square test over (bell, basis, ia, ib, error) and the
+        # photon numbers n, m folded into 0, 1, 2+
+        tables = ChannelTables(BRIGHT_CONFIG_A, BRIGHT_CONFIG_B, BRIGHT_PROFILE)
+        n = 1_000_000
+        tally = sample_pulses(tables, n, np.random.default_rng(8))
+        probs = tables.expected_rates().cell_probs
+
+        def fold(cells):
+            out = np.zeros(cells.shape[:-2] + (3, 3))
+            for i, j in np.ndindex(cells.shape[-2:]):
+                out[..., min(i, 2), min(j, 2)] += cells[..., i, j]
+            return out
+
+        observed = np.append(fold(tally), n - tally.sum())
+        expected = np.append(fold(n * probs), n * (1.0 - probs.sum()))
+        assert tally.sum() > 10_000
+        assert chi_square_p(observed, expected) > 1e-3
+
+    def test_session_stream_is_its_own(self):
+        # run_montecarlo hands the same seed to a session and to its
+        # estimate_yields; their random streams must differ
+        for seed in (0, 7, 40_000, 2**32 - 1):
+            session = _session_rng(seed).bit_generator.state["state"]
+            assert session != _estimate_rng(seed).bit_generator.state["state"]
+            assert session != np.random.default_rng(seed).bit_generator.state["state"]
 
 
 class TestPublishedErrorRate:
@@ -213,11 +306,27 @@ class TestPulseBudget:
         sd = run_kgp_session(favorable_tables, 123_456, seed=1)
         assert sd.n_pulses == 123_456
 
+    @pytest.mark.parametrize("n_pulses", [int(5.58e12), int(2e13)])
+    def test_full_scale_session(self, n_pulses):
+        # the published operating point and the length search's cap: the
+        # draw's cost does not grow with the pulse budget
+        tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
+        rates = tables.expected_rates()
+        start = time.perf_counter()
+        sd = run_kgp_session(tables, n_pulses, seed=3)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.25
+        expected = rates.expected_set_sizes(n_pulses)
+        for basis, counts in (("Z", sd.z_counts), ("X", sd.x_counts)):
+            sigma = np.sqrt(np.maximum(expected[basis], 1.0))
+            assert np.all(np.abs(counts - expected[basis]) < 6 * sigma)
+        assert sd.z_counts[:, 0, 0].min() > 1e6
+
 
 class TestScalarPipeline:
     def test_ideal_single_photon_z_run_is_error_free(self):
-        # one uniform per shot against the relay table, as the session
-        # engine draws announcements; Z-basis pol index = bit
+        # one uniform per shot against the relay table, as the reference
+        # sampler draws announcements; Z-basis pol index = bit
         profile = SystemProfile(distance_km=0.0, detector_efficiency=1.0)
         tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile)
         rng = np.random.default_rng(31)
