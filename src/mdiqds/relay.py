@@ -1,4 +1,5 @@
-"""Linear-optics Bell-state relay simulated at the Fock level.
+"""Linear-optics Bell-state relay: the announcement probability of every
+relay input in closed form.
 
 The relay interferes the two incoming spatial modes on a 50:50 beam
 splitter, splits each output port on a polarizing beam splitter, and watches
@@ -9,9 +10,18 @@ coincidences and the same-polarization pairs) as a failure.  Phi outcomes
 are therefore never announced.
 
 Photons from the two parties are treated as fully indistinguishable at the
-beam splitter.  Output mode occupations are computed by exact expansion of
-the input creation-operator product in the four detector modes, which is
-valid for any photon number the truncated sources can emit.
+beam splitter.  `relay_table` needs only Q(S), the probability that the
+detectors in a set S stay silent.  For k_a photons in party A's detector-mode
+vector a and k_b in party B's vector b, Q(S) = (1-d)^|S| G(z) with z_i = 1-eta
+on S and 1 elsewhere, where G is the two-mode case of the linear-optics
+permanent formula (Aaronson & Arkhipov, Theory of Computing 9, 143 (2013)):
+
+    G(z) = sum_j C(k_a, j) C(k_b, j) M_aa^(k_a-j) M_bb^(k_b-j) M_ab^(2j),
+    M_xy = sum_i x_i z_i y_i.
+
+Inclusion-exclusion over the silent sets then gives each click pattern
+exactly.  `occupation_distribution` expands the same input into detector
+occupations term by term; it is the reference the table is checked against.
 
 Channel misalignment is modeled as a constant relative rotation between the
 two transmitters' polarization frames, applied here to party B's input: a
@@ -23,11 +33,18 @@ multi-photon pulses stay in a single (rotated) polarization mode.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .sources import SystemProfile
+from .sources import BASES, N_CUT, POLARIZATION
+
+# Polarization at index 2 * basis + bit of the relay table's pol_a and pol_b
+# axes: H, V, D, A.
+_POL_ORDER = tuple(POLARIZATION[basis, bit] for basis in BASES for bit in (0, 1))
+
+# Click patterns announced as psi_minus ({D1H, D2V}, {D1V, D2H}) and as
+# psi_plus ({D1H, D1V}, {D2H, D2V}), over detectors D1H, D1V, D2H, D2V = 0..3.
+_BELL_PATTERNS = (((0, 3), (1, 2)), ((0, 1), (2, 3)))
 
 # Single-photon polarization amplitudes in the (H, V) basis.
 _POL_AMPLITUDES = {
@@ -64,7 +81,8 @@ def _creation_vector(
     return tuple(c_h * vh + c_v * vv for vh, vv in zip(vec_h, vec_v))
 
 
-@lru_cache(maxsize=None)
+# The exact reference for `relay_table`: the tests compare the table with it,
+# and perfbench/tracing.py wraps it as the relay layer's timer.
 def occupation_distribution(
     pol_a: str,
     k_a: int,
@@ -117,52 +135,43 @@ def occupation_distribution(
     return occs, probs
 
 
-class RelayEngine:
-    """Announcement probabilities for a fixed detector efficiency,
-    dark-count probability, and frame mismatch."""
-
-    def __init__(
-        self,
-        detector_efficiency: float,
-        dark_count_prob: float,
-        misalignment: float = 0.0,
-    ):
-        self.eta = detector_efficiency
-        self.dark = dark_count_prob
-        self.frame_angle_b = math.asin(math.sqrt(misalignment))
-
-    @classmethod
-    def for_profile(cls, profile: SystemProfile) -> "RelayEngine":
-        return cls(
-            profile.detector_efficiency, profile.dark_count_prob, profile.misalignment
-        )
-
-    def outcome_table(self, inputs) -> np.ndarray:
-        """Rows (P(psi_minus), P(psi_plus)) for a sequence of relay inputs
-        (pol_a, k_a, pol_b, k_b), detector imperfections included."""
-        dists = [
-            occupation_distribution(pol_a, k_a, pol_b, k_b, self.frame_angle_b)
-            for pol_a, k_a, pol_b, k_b in inputs
-        ]
-        occs = np.concatenate([occ for occ, _ in dists])
-        probs = np.concatenate([p for _, p in dists])
-        # a threshold detector holding n photons stays silent with probability
-        # r[n]: it registers none of them and has no dark count.  psi_minus is
-        # a click on exactly {D1H, D2V} or {D1V, D2H}, psi_plus on {D1H, D1V}
-        # or {D2H, D2V}.  Gathering r and q per column keeps the temporaries
-        # at one float per occupation vector.
-        r = (1.0 - self.eta) ** np.arange(occs.max() + 1) * (1.0 - self.dark)
-        q = 1.0 - r
-        n0, n1, n2, n3 = occs.T
-        minus = q[n0] * r[n1] * r[n2] * q[n3] + r[n0] * q[n1] * q[n2] * r[n3]
-        plus = q[n0] * q[n1] * r[n2] * r[n3] + r[n0] * r[n1] * q[n2] * q[n3]
-        starts = np.cumsum([0] + [len(p) for _, p in dists[:-1]])
-        return np.stack([np.add.reduceat(probs * minus, starts),
-                         np.add.reduceat(probs * plus, starts)], axis=1)
-
-    def outcome_probabilities(
-        self, pol_a: str, k_a: int, pol_b: str, k_b: int
-    ) -> tuple[float, float]:
-        """(P(psi_minus), P(psi_plus)) for one input configuration."""
-        p_minus, p_plus = self.outcome_table([(pol_a, k_a, pol_b, k_b)])[0]
-        return float(p_minus), float(p_plus)
+def relay_table(eta: float, dark: float, misalignment: float) -> np.ndarray:
+    """relay[pol_a, k_a, pol_b, k_b] = (P(psi_minus), P(psi_plus)) for k_a
+    photons from party A and k_b from party B arriving at detectors of
+    efficiency ``eta`` and dark-count probability ``dark``; party B's frame
+    is rotated so that a lone photon from B is found orthogonal with
+    probability ``misalignment``.  Polarizations are in the order H, V, D, A.
+    """
+    frame_angle_b = math.asin(math.sqrt(misalignment))
+    vec_a = np.array([_creation_vector("a", pol) for pol in _POL_ORDER])
+    vec_b = np.array([_creation_vector("b", pol, frame_angle_b) for pol in _POL_ORDER])
+    # z[s, i]: the weight a photon in detector i carries in G when bit i of
+    # the silent-set mask s is set
+    z = np.where((np.arange(16)[:, None] >> np.arange(4)) & 1, 1.0 - eta, 1.0)
+    m_aa = np.einsum("pi,si,pi->sp", vec_a, z, vec_a)
+    m_bb = np.einsum("pi,si,pi->sp", vec_b, z, vec_b)
+    m_ab = np.einsum("pi,si,qi->spq", vec_a, z, vec_b)
+    k = np.arange(N_CUT + 1)
+    binom = np.array([[math.comb(n, j) for j in k] for n in k], dtype=float)
+    power = np.maximum(k[:, None] - k, 0)  # k - j where C(k, j) > 0
+    # g[s, pol_a, k_a, pol_b, k_b] = G for silent set s
+    g = np.einsum("spkj,sqlj,spqj->spkql",
+                  binom * m_aa[..., None, None] ** power,
+                  binom * m_bb[..., None, None] ** power,
+                  m_ab[..., None] ** (2 * k), optimize=True)
+    # A clicking detector is d + (1-d)(1-y) with y its photons' no-detection
+    # probability.  Expanding the d terms by hand keeps the alternating sums
+    # to G alone: summed over Q(S) they cancel terms of order 1 on entries
+    # that dark counts dominate (vacuum announces only 2 d^2 (1-d)^2).
+    quiet = 1.0 - dark
+    table = np.zeros((4, N_CUT + 1, 4, N_CUT + 1, 2))
+    for bell, patterns in enumerate(_BELL_PATTERNS):
+        for i, j in patterns:
+            rest = 15 ^ (1 << i) ^ (1 << j)
+            g_rest, g_i, g_j = g[rest], g[rest | 1 << i], g[rest | 1 << j]
+            table[..., bell] += (quiet**4 * (g_rest - g_i - g_j + g[15])
+                                 + quiet**3 * dark * (2.0 * g_rest - g_i - g_j)
+                                 + quiet**2 * dark**2 * g_rest)
+    # cos(pi/2) is not 0 in floating point: at misalignment 1 some
+    # impossible patterns come out near -4e-33, which no sampler accepts
+    return np.maximum(table, 0.0)

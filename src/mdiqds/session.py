@@ -17,8 +17,8 @@ input; `expected_rates` contracts it once with the channel's
 binomial-survival matrix and the source photon-number pmfs into p, from
 which the closed-form gains, error rates and populations are also summed.
 The tests check p against a plain per-pulse sampler, and the table against
-the brute-force Fock oracle.  Table entries are filled on first use, every
-missing entry of a lookup in one batched call to the relay engine.
+the brute-force Fock oracle.  The relay table is built whole, in closed
+form, when the tables are made.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relay import RelayEngine
+from .relay import relay_table
 from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
-
-_POL_NAMES = ("H", "V", "D", "A")
 
 # spawn key of a session's random stream, (seed, _SESSION_STREAM); no other
 # consumer derives it: estimate_yields, which gets the same seed, takes
@@ -65,11 +63,10 @@ class ChannelTables:
         self.config_a = config_a
         self.config_b = config_b
         self.profile = profile
-        self.engine = RelayEngine.for_profile(profile)
         # relay[pol_a, k_a, pol_b, k_b] = (P(psi_minus), P(psi_plus)) for k_a
-        # and k_b arriving photons; NaN until `relay_outcomes` fills it, which
-        # it does for every missing entry of one lookup at once
-        self.relay = np.full((4, N_CUT + 1, 4, N_CUT + 1, 2), np.nan)
+        # and k_b arriving photons
+        self.relay = relay_table(profile.detector_efficiency, profile.dark_count_prob,
+                                 profile.misalignment)
         t = profile.transmittance()
         self.binom_survive = _binomial_matrix(t)
 
@@ -92,20 +89,6 @@ class ChannelTables:
 
         self._rates = None
 
-    def relay_outcomes(self, pol_a, k_a, pol_b, k_b) -> np.ndarray:
-        """Relay table rows (P(psi_minus), P(psi_plus)) for arrays of inputs,
-        filling every missing entry in one call to the relay engine."""
-        flat = np.ravel_multi_index((pol_a, k_a, pol_b, k_b), self.relay.shape[:4])
-        table = self.relay.reshape(-1, 2)
-        missing = np.unique(flat[np.isnan(table[flat, 0])])
-        if missing.size:
-            inputs = np.unravel_index(missing, self.relay.shape[:4])
-            table[missing] = self.engine.outcome_table(
-                (_POL_NAMES[pa], ka, _POL_NAMES[pb], kb)
-                for pa, ka, pb, kb in zip(*(i.tolist() for i in inputs))
-            )
-        return table[flat]
-
     # -- closed-form expectations ------------------------------------------
 
     def expected_rates(self) -> "RateTable":
@@ -123,14 +106,11 @@ class ChannelTables:
         residual = 8 * float(w[~kept].sum())
         w[~kept] = 0.0
 
-        # same-basis polarization pairs: basis 0 = Z (H/V by bit), 1 = X (D/A)
+        # same-basis polarization pairs (basis 0 = Z, 1 = X), at the relay
+        # table's polarization index 2 * basis + bit
         basis, bit_a, bit_b = np.indices((2, 2, 2))
         pol_a, pol_b = 2 * basis + bit_a, 2 * basis + bit_b
-        # fill only the inputs (k_a, k_b) that some kept (n, m) reaches
         surv = self.binom_survive
-        k_a, k_b = np.nonzero((surv.T > 0) @ kept.any(axis=(0, 1)) @ (surv > 0))
-        self.relay_outcomes(*np.broadcast_arrays(
-            pol_a.reshape(-1, 1), k_a, pol_b.reshape(-1, 1), k_b))
 
         # split[basis, bit_a, bit_b, bell, error]: whether Bob's sifted bit
         # disagrees with Alice's, one-hot
@@ -139,10 +119,9 @@ class ChannelTables:
         split = np.stack([~is_error, is_error], axis=-1).astype(float)
         # s[bell, basis, error, n, m]: announcement probability for n and m
         # photons sent, summed over the photons that arrive and the
-        # polarization pairs; an entry of the relay table left unfilled only
-        # ever meets a zero weight
-        relay = np.nan_to_num(self.relay[pol_a, :, pol_b])
-        s = np.einsum("nk,ml,xyzklb,xyzbe->bxenm", surv, surv, relay, split, optimize=True)
+        # polarization pairs
+        s = np.einsum("nk,ml,xyzklb,xyzbe->bxenm", surv, surv, self.relay[pol_a, :, pol_b],
+                      split, optimize=True)
         # contrib[bell, basis, ia, ib, error, n, m], given the intensity pair
         # and that both parties chose that basis
         contrib = s[:, :, None, None] * w[:, :, None]

@@ -74,19 +74,30 @@ def occupation_probs(photons):
 
 def outcome_probs(photons, eta=1.0, dark=0.0):
     """(P(psi_minus), P(psi_plus), P(failure)) with threshold detectors."""
+    occ_probs = occupation_probs(photons) if photons else {(0, 0, 0, 0): 1.0}
+    return click_probs(occ_probs, eta, dark)
+
+
+def click_probs(occ_probs, eta=1.0, dark=0.0):
+    """(P(psi_minus), P(psi_plus), P(failure)) of an occupation distribution
+    {occupation 4-tuple: probability} read by threshold detectors.  Plain
+    arithmetic only, so it also runs on extended-precision numbers."""
     psi_minus_patterns = ({0, 3}, {1, 2})
     psi_plus_patterns = ({0, 1}, {2, 3})
     p_minus = p_plus = 0.0
-    occ_probs = occupation_probs(photons) if photons else {(0, 0, 0, 0): 1.0}
     for occ, p_occ in occ_probs.items():
         q = [1.0 - ((1.0 - eta) ** n) * (1.0 - dark) for n in occ]
-        for subset_bits in range(16):
-            clicked = {i for i in range(4) if subset_bits >> i & 1}
-            p_pattern = 1.0
-            for i in range(4):
-                p_pattern *= q[i] if i in clicked else 1.0 - q[i]
-            if clicked in psi_minus_patterns:
-                p_minus += p_occ * p_pattern
-            elif clicked in psi_plus_patterns:
-                p_plus += p_occ * p_pattern
+        for clicked in psi_minus_patterns:
+            p_minus += p_occ * _pattern_prob(q, clicked)
+        for clicked in psi_plus_patterns:
+            p_plus += p_occ * _pattern_prob(q, clicked)
     return p_minus, p_plus, 1.0 - p_minus - p_plus
+
+
+def _pattern_prob(q, clicked):
+    """Probability that exactly the detectors in ``clicked`` fire, given each
+    detector's click probability q[i]."""
+    p_pattern = 1.0
+    for i in range(4):
+        p_pattern *= q[i] if i in clicked else 1.0 - q[i]
+    return p_pattern

@@ -110,6 +110,17 @@ class TestRunModes:
         assert payload["sessions"]["alice_bob"]["n_pulses"] == int(5.58e12 / 1e6)
         assert payload["infeasible_reason"]
 
+    def test_montecarlo_crossed_frames_on_ideal_link(self):
+        # fully crossed frames, no loss, no dark counts: relay entries that
+        # are 0 in exact arithmetic must not reach the session draw negative
+        scenario = scenario_from_dict({
+            "mode": "montecarlo", "seed": 3, "scale_factor": 1e4,
+            "profile": {"distance_km": 0, "detector_efficiency": 1,
+                        "dark_count_prob": 0, "misalignment": 1},
+        })
+        code, _ = run(scenario)
+        assert code == EXIT_INFEASIBLE
+
     def test_protocol_mode_passes_bounds(self):
         scenario = scenario_from_dict(
             {"mode": "protocol", "seed": 5, "protocol": {"trials": 2000}}

@@ -4,26 +4,20 @@ with the closed-form expectations and with a per-pulse reference sampler."""
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from mdiqds.estimation import _estimate_rng
-from mdiqds.relay import RelayEngine
+from mdiqds.relay import relay_table
 from mdiqds.session import (
     ChannelTables,
     _session_rng,
     _sift_bits,
     run_kgp_session,
 )
-from mdiqds.sources import (
-    BASES,
-    INTENSITY_LABELS,
-    N_CUT,
-    POLARIZATION,
-    DecoySourceConfig,
-    SystemProfile,
-)
+from mdiqds.sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -58,10 +52,11 @@ def scalar_expected_rates(tables):
     source = {}
     for ia, pmf_a in enumerate(tables.source_pmf["a"]):
         for ib, pmf_b in enumerate(tables.source_pmf["b"]):
-            for basis_idx, basis in enumerate(BASES):
+            for basis_idx in range(2):
                 for bit_a in (0, 1):
                     for bit_b in (0, 1):
-                        pols = POLARIZATION[(basis, bit_a)], POLARIZATION[(basis, bit_b)]
+                        # relay-table polarization index: basis * 2 + bit
+                        pols = 2 * basis_idx + bit_a, 2 * basis_idx + bit_b
                         for n in range(N_CUT + 1):
                             for m in range(N_CUT + 1):
                                 w = 0.25 * pmf_a[n] * pmf_b[m]
@@ -71,9 +66,8 @@ def scalar_expected_rates(tables):
                                 key = (pols, n, m)
                                 if key not in source:
                                     source[key] = sum(
-                                        surv[n, k_a] * surv[m, k_b] * np.array(
-                                            tables.engine.outcome_probabilities(
-                                                pols[0], k_a, pols[1], k_b))
+                                        surv[n, k_a] * surv[m, k_b]
+                                        * tables.relay[pols[0], k_a, pols[1], k_b]
                                         for k_a in range(n + 1) for k_b in range(m + 1)
                                     )
                                 for bell in (0, 1):
@@ -109,7 +103,7 @@ def sample_pulses(tables, n_pulses, rng):
     ia, basis_a, bit_a, n, k_a = party["a"]
     ib, basis_b, bit_b, m, k_b = party["b"]
     # polarization index: H, V in Z and D, A in X, by bit
-    probs = tables.relay_outcomes(2 * basis_a + bit_a, k_a, 2 * basis_b + bit_b, k_b)
+    probs = tables.relay[2 * basis_a + bit_a, k_a, 2 * basis_b + bit_b, k_b]
     u = rng.random(n_pulses)
     bell = np.where(u < probs[:, 0], 0, 1)
     recorded = (u < probs[:, 0] + probs[:, 1]) & (basis_a == basis_b)
@@ -119,6 +113,26 @@ def sample_pulses(tables, n_pulses, rng):
     tally = np.zeros((2, 2, 3, 3, 2, N_CUT + 1, N_CUT + 1), dtype=np.int64)
     np.add.at(tally, tuple(c[recorded] for c in cells), 1)
     return tally
+
+
+def ma_razavi_rates(profile, mu_a, mu_b):
+    """(Q_Z, Q_X, E_Z Q_Z, E_X Q_X) of an MDI link without misalignment, in
+    the closed form of Ma & Razavi, PRA 86, 062319 (2012).  Evaluated to 40
+    digits: at the weakest decoys the bracketed sums cancel from order 1 to
+    ~1e-10."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        d = mp.mpf(profile.dark_count_prob)
+        t = mp.mpf(profile.transmittance()) * profile.detector_efficiency
+        mu = t * (mu_a + mu_b)
+        x = t * mp.sqrt(mp.mpf(mu_a) * mu_b) / 2
+        y = (1 - d) * mp.exp(-mu / 4)
+        i0_x, i0_2x = mp.besseli(0, x), mp.besseli(0, 2 * x)
+        q_c = (2 * (1 - d) ** 2 * mp.exp(-mu / 2)
+               * (1 - (1 - d) * mp.exp(-t * mu_a / 2)) * (1 - (1 - d) * mp.exp(-t * mu_b / 2)))
+        q_e = 2 * d * (1 - d) ** 2 * mp.exp(-mu / 2) * (i0_2x - (1 - d) * mp.exp(-mu / 2))
+        q_x = 2 * y**2 * (1 + 2 * y**2 - 4 * y * i0_x + i0_2x)
+        return float(q_c + q_e), float(q_x), float(q_e), float(q_x / 2 - y**2 * (i0_2x - 1))
 
 
 def chi_square_p(observed, expected, min_expected=5.0):
@@ -167,8 +181,7 @@ class TestExpectedRates:
 
     def test_vacuum_dark_coincidence(self):
         y0 = 1e-3
-        engine = RelayEngine(0.5, y0)
-        p_minus, p_plus = engine.outcome_probabilities("H", 0, "H", 0)
+        p_minus, p_plus = relay_table(0.5, y0, 0.0)[0, 0, 0, 0]
         expected = 2.0 * y0**2 * (1.0 - y0) ** 2
         assert p_minus == pytest.approx(expected, rel=1e-12)
         assert p_plus == pytest.approx(expected, rel=1e-12)
@@ -194,6 +207,27 @@ class TestExpectedRates:
         np.testing.assert_allclose(rt.error_rate, error_rate, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(rt.population, population, rtol=1e-12, atol=0.0)
         assert rt.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("profile", [
+        SystemProfile(distance_km=50.0, detector_efficiency=0.145, dark_count_prob=6.02e-6),
+        SystemProfile(distance_km=10.0, detector_efficiency=0.93, dark_count_prob=1e-6),
+    ])
+    def test_matches_ma_razavi_closed_form(self, profile):
+        # the closed-form MDI gains and error rates of Ma & Razavi, PRA 86,
+        # 062319 (2012), summed over both Bell states.  Only at misalignment
+        # 0: ours rotates B's frame coherently, so pulses where only B's
+        # two photons arrive announce (the signal-signal (0, 2) population
+        # goes from 4.9e-8 to 2.0e-6 at 1%), a term their e_d model lacks.
+        rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
+        for ia, label_a in enumerate(INTENSITY_LABELS):
+            for ib, label_b in enumerate(INTENSITY_LABELS):
+                mu_a = PUBLISHED_CONFIG.intensity(label_a)
+                mu_b = PUBLISHED_CONFIG.intensity(label_b)
+                q_z, q_x, errors_z, errors_x = ma_razavi_rates(profile, mu_a, mu_b)
+                gain = rt.gain[:, :, ia, ib].sum(axis=0)
+                errors = (rt.gain * rt.error_rate)[:, :, ia, ib].sum(axis=0)
+                np.testing.assert_allclose(gain, [q_z, q_x], rtol=1e-7, atol=0)
+                np.testing.assert_allclose(errors, [errors_z, errors_x], rtol=1e-7, atol=0)
 
 
 class TestSessionStatistics:
@@ -334,7 +368,7 @@ class TestScalarPipeline:
         bit_a = rng.integers(0, 2, shots)
         bit_b = rng.integers(0, 2, shots)
         one = np.ones(shots, dtype=np.int64)
-        probs = tables.relay_outcomes(bit_a, one, bit_b, one)
+        probs = tables.relay[bit_a, one, bit_b, one]
         u = rng.random(shots)
         announced = u < probs[:, 0] + probs[:, 1]
         bell = np.where(u < probs[:, 0], 0, 1)

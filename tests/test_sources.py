@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from mdiqds.errors import ValidationError
-from mdiqds.relay import RelayEngine
-from mdiqds.session import _POL_NAMES, ChannelTables, run_kgp_session
+from mdiqds.relay import relay_table
+from mdiqds.session import ChannelTables, run_kgp_session
 from mdiqds.sources import (
     POLARIZATION,
     DecoySourceConfig,
     SystemProfile,
     truncated_poisson_pmf,
 )
+
+from fock_oracle import outcome_probs
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -113,14 +115,15 @@ class TestTransmit:
         profile = SystemProfile(
             distance_km=0.0, misalignment=1.0, detector_efficiency=1.0
         )
-        engine = RelayEngine.for_profile(profile)
+        relay = relay_table(profile.detector_efficiency, profile.dark_count_prob,
+                            profile.misalignment)
         # with the frames fully crossed, same-bit single photons interfere
-        # like orthogonal ones and announce with certainty
-        p_minus, p_plus = engine.outcome_probabilities("H", 1, "H", 1)
+        # like orthogonal ones and announce with certainty (H = 0, V = 1)
+        p_minus, p_plus = relay[0, 1, 0, 1]
         assert p_minus == pytest.approx(0.5, abs=1e-12)
         assert p_plus == pytest.approx(0.5, abs=1e-12)
         # while opposite-bit photons now bunch and never announce
-        p_minus, p_plus = engine.outcome_probabilities("H", 1, "V", 1)
+        p_minus, p_plus = relay[0, 1, 1, 1]
         assert p_minus == pytest.approx(0.0, abs=1e-12)
         assert p_plus == pytest.approx(0.0, abs=1e-12)
 
@@ -131,14 +134,22 @@ class TestTransmit:
         profile = SystemProfile(
             distance_km=0.0, misalignment=mis, detector_efficiency=1.0
         )
-        engine = RelayEngine.for_profile(profile)
-        p_minus, p_plus = engine.outcome_probabilities("H", 1, "H", 1)
+        relay = relay_table(profile.detector_efficiency, profile.dark_count_prob,
+                            profile.misalignment)
+        p_minus, p_plus = relay[0, 1, 0, 1]  # H, H
         assert p_minus + p_plus == pytest.approx(mis, abs=1e-12)
-        p_minus, p_plus = engine.outcome_probabilities("H", 1, "V", 1)
+        p_minus, p_plus = relay[0, 1, 1, 1]  # H, V
         assert p_minus + p_plus == pytest.approx(1.0 - mis, abs=1e-12)
 
     def test_polarization_mapping(self):
-        # expected_rates indexes the relay table by basis * 2 + bit
-        for (basis, bit), pol in POLARIZATION.items():
-            assert _POL_NAMES["ZX".index(basis) * 2 + bit] == pol
+        # expected_rates indexes the relay table by basis * 2 + bit: the
+        # entry there for one photon per side is that of the prepared
+        # polarizations
+        relay = relay_table(0.7, 0.01, 0.0)
+        index = {key: "ZX".index(key[0]) * 2 + key[1] for key in POLARIZATION}
+        for key_a, pol_a in POLARIZATION.items():
+            for key_b, pol_b in POLARIZATION.items():
+                entry = relay[index[key_a], 1, index[key_b], 1]
+                want = outcome_probs([("a", pol_a), ("b", pol_b)], eta=0.7, dark=0.01)
+                np.testing.assert_allclose(entry, want[:2], rtol=0, atol=1e-12)
         assert POLARIZATION == {("Z", 0): "H", ("Z", 1): "V", ("X", 0): "D", ("X", 1): "A"}
