@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Above this trial count the exact binomial tail sum is replaced by the
@@ -91,13 +93,14 @@ def binomial_tail_log2(n: int, r: int) -> LogProb:
     return LogProb(peak + math.log2(total))
 
 
-def chernoff_delta(x: float, y: float) -> float:
-    """Deviation g(x, y) = sqrt(2*x*ln(1/y)) of the multiplicative Chernoff bound."""
-    if x < 0:
+def chernoff_delta(x, y: float):
+    """Deviation g(x, y) = sqrt(2*x*ln(1/y)) of the multiplicative Chernoff
+    bound, element-wise when ``x`` is an array."""
+    if np.any(np.asarray(x) < 0):
         raise DomainError(f"need x >= 0, got {x}")
     if not 0.0 < y <= 1.0:
         raise DomainError(f"need 0 < y <= 1, got {y}")
-    return math.sqrt(2.0 * x * math.log(1.0 / y))
+    return np.sqrt(2.0 * x * math.log(1.0 / y))
 
 
 def serfling_lambda(x: float, y: float, z: float) -> float:

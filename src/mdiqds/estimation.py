@@ -1,19 +1,25 @@
 """Decoy-state estimation: from observed set sizes to vacuum / single-photon
 lower bounds and the single-photon phase-error upper bound.
 
-The chain per Bell state k:
+This is the finite-size decoy-state linear program of MDI-QKD (Curty et al.,
+Nat. Commun. 5, 3732 (2014)).  The chain per Bell state k:
 
-1. Chernoff intervals turn each observed |Z_k^{a,b}| into a two-sided
-   constraint on the photon-number populations S_{k,nm}.
+1. Chernoff intervals turn the nine observed |Z_k^{a,b}| of one basis into
+   one block of two-sided constraints on the photon-number populations
+   S_{k,nm}.  The expected photon-pair counts of the session cap every
+   S_nm; the caps are built once per basis.
 2. A linear program minimizes the vacuum (or single-photon-pair) share of
-   the signal-signal set over all populations consistent with the nine
-   constraints, giving m_{k,0} and m_{k,1}.
+   the signal-signal set over the Z block and caps, giving m_{k,0} and
+   m_{k,1}.
 3. A Serfling correction converts those to bounds n_{k,0}, n_{k,1} on the
    randomly chosen keep half of the code string.
-4. X-basis statistics bound the single-photon phase error e_{k,1}.
+4. The X block bounds the single-photon pairs n̄_{k,1} from below; a joint
+   program over the populations and their error populations bounds their
+   errors ē_{k,1} from above.  Together they bound the single-photon phase
+   error e_{k,1}.
 
-All probability bookkeeping lives in ErrorBudget; every bound holds except
-with the probability recorded there.
+That is four programs per Bell state.  All probability bookkeeping lives in
+ErrorBudget; every bound holds except with the probability recorded there.
 """
 
 from __future__ import annotations
@@ -143,25 +149,24 @@ def photon_population(
     )
 
 
-def chernoff_interval(observed: float, budget: ErrorBudget) -> tuple[float, float]:
-    """Deviation widths (Delta, Delta_hat) of one observed set size.
+def chernoff_interval(observed, budget: ErrorBudget):
+    """Deviation widths (Delta, Delta_hat) of an observed set size, or of
+    an array of them.
 
     The population sum lies in [observed - Delta_hat, observed + Delta]
-    except with probability eps_set + eps_set_hat.
+    except with probability eps_set + eps_set_hat.  Both widths vanish at
+    zero.
     """
-    if observed < 0:
-        raise DomainError(f"negative set size: {observed}")
-    if observed == 0:
-        return 0.0, 0.0
-    delta = chernoff_delta(observed, budget.eps_set**4 / 16.0)
-    delta_hat = chernoff_delta(observed, budget.eps_set_hat**1.5)
-    return delta, delta_hat
+    return (
+        chernoff_delta(observed, budget.eps_set**4 / 16.0),
+        chernoff_delta(observed, budget.eps_set_hat**1.5),
+    )
 
 
-def check_validity(mu_kl: float, budget: ErrorBudget) -> bool:
-    """Chernoff applicability conditions for one set's concentration
-    parameter: (2/eps)^(1/mu) <= exp((3/(4*sqrt(2)))^2) and
-    (1/eps_hat)^(1/mu) <= exp(1/3), which for mu > 0 reduce to two lower
+def check_validity(mu_kl, budget: ErrorBudget):
+    """Chernoff applicability conditions for a set's concentration
+    parameter (a number or an array): (2/eps)^(1/mu) <= exp((3/(4*sqrt(2)))^2)
+    and (1/eps_hat)^(1/mu) <= exp(1/3), which for mu > 0 reduce to two lower
     bounds on mu."""
     bound = max(
         math.log(2.0 / budget.eps_set) / ((3.0 / (4.0 * math.sqrt(2.0))) ** 2),
@@ -181,31 +186,17 @@ def concentration_parameters(set_sizes: np.ndarray, budget: ErrorBudget) -> np.n
 def set_validity(set_sizes: np.ndarray, budget: ErrorBudget) -> tuple[bool, np.ndarray]:
     """Apply the validity conditions to every set; the boolean is the
     all-sets conjunction used as the report flag."""
-    mu = concentration_parameters(set_sizes, budget)
-    flags = np.array([[check_validity(float(m), budget) for m in row] for row in mu])
+    flags = check_validity(concentration_parameters(set_sizes, budget), budget)
     return bool(flags.all()), flags
 
 
-def _interval_rows(set_sizes: np.ndarray, budget: ErrorBudget):
-    """Lower/upper bounds on each set's population sum."""
-    lower = np.empty((3, 3))
-    upper = np.empty((3, 3))
-    for ia in range(3):
-        for ib in range(3):
-            obs = float(set_sizes[ia, ib])
-            delta, delta_hat = chernoff_interval(obs, budget)
-            lower[ia, ib] = max(obs - delta_hat, 0.0)
-            upper[ia, ib] = obs + delta
-    return lower, upper
-
-
-def _solve_lp(cost, a_ub, b_ub, n_vars: int, maximize: bool = False, upper=None):
-    c = -np.asarray(cost) if maximize else np.asarray(cost)
-    if upper is None:
-        bounds = [(0, None)] * n_vars
-    else:
-        bounds = [(0, float(u) if np.isfinite(u) else None) for u in upper]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
+    """Optimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps}; an
+    infinite cap leaves its variable unbounded.  Returns (x, value)."""
+    cost = np.ravel(cost)
+    bounds = np.column_stack((np.zeros_like(caps), caps))
+    res = linprog(-cost if maximize else cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs")
     if res.status == 2:
         raise InfeasibleObservationsError(
             "observed set sizes admit no consistent photon-number population"
@@ -217,7 +208,9 @@ def _solve_lp(cost, a_ub, b_ub, n_vars: int, maximize: bool = False, upper=None)
 
 
 def _population_constraints(set_sizes: np.ndarray, pop: PhotonPopulation, budget: ErrorBudget):
-    """Two-sided constraint rows for the nine observed sets.
+    """Two-sided constraint rows (A, b) for the nine observed sets of one
+    Bell state and basis: an upper row then a lower row per set, in set
+    order.
 
     Sets with no observations are skipped: the printed deviation widths
     vanish at zero and would pin the population share to exactly zero,
@@ -225,53 +218,28 @@ def _population_constraints(set_sizes: np.ndarray, pop: PhotonPopulation, budget
     rows only relaxes the program, so minima stay valid lower bounds (and
     maxima valid upper bounds).
     """
-    lower, upper = _interval_rows(set_sizes, budget)
-    rows = []
-    rhs = []
-    for ia in range(3):
-        for ib in range(3):
-            if set_sizes[ia, ib] <= 0:
-                continue
-            coeffs = pop.conditional[ia, ib].reshape(-1)
-            rows.append(coeffs)
-            rhs.append(upper[ia, ib])
-            rows.append(-coeffs)
-            rhs.append(-lower[ia, ib])
-    if not rows:
+    sizes = np.asarray(set_sizes, dtype=float).reshape(-1)
+    delta, delta_hat = chernoff_interval(sizes, budget)
+    observed = sizes > 0
+    if not observed.any():
         return np.zeros((1, _GRID * _GRID)), np.zeros(1)
-    return np.array(rows), np.array(rhs)
+    coeffs = pop.conditional.reshape(9, -1)[observed]
+    rows = np.stack((coeffs, -coeffs), axis=1).reshape(-1, _GRID * _GRID)
+    rhs = np.stack((sizes + delta, -np.maximum(sizes - delta_hat, 0.0)), axis=1)
+    return rows, rhs[observed].reshape(-1)
 
 
 def _population_caps(pop: PhotonPopulation, budget: ErrorBudget, n_basis_pairs: float):
     """Upper confidence bounds on how many (n, m)-photon pulse pairs a
-    session of n_basis_pairs basis-matched pulses can contain.
+    session of n_basis_pairs basis-matched pulses can contain, flattened
+    like the populations.
 
     An announced event with (n, m) photons requires such a pulse pair, so
     S_nm cannot exceed the pair count.  Without this cap the nine set
     constraints alone cannot pin the low-photon-number populations.
     """
-    expected = n_basis_pairs * pop.pair_pmf
-    caps = np.empty_like(expected)
-    for idx, mean in np.ndenumerate(expected):
-        caps[idx] = mean + (chernoff_delta(mean, budget.eps_cap) if mean > 0 else 0.0)
-    return caps
-
-
-def _objective_minimum(
-    set_sizes: np.ndarray,
-    pop: PhotonPopulation,
-    budget: ErrorBudget,
-    objective: np.ndarray,
-    n_basis_pairs: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Minimize a linear functional of the populations over the constraint
-    polytope.  ``n_basis_pairs`` enables the per-(n,m) caps; zero disables
-    them (a relaxation, still sound for lower bounds)."""
-    a_ub, b_ub = _population_constraints(set_sizes, pop, budget)
-    caps = None
-    if n_basis_pairs > 0:
-        caps = _population_caps(pop, budget, n_basis_pairs).reshape(-1)
-    return _solve_lp(objective.reshape(-1), a_ub, b_ub, _GRID * _GRID, upper=caps)
+    expected = (n_basis_pairs * pop.pair_pmf).reshape(-1)
+    return expected + chernoff_delta(expected, budget.eps_cap)
 
 
 def vacuum_objective(pop: PhotonPopulation) -> np.ndarray:
@@ -288,35 +256,32 @@ def single_pair_objective(pop: PhotonPopulation) -> np.ndarray:
     return obj
 
 
-def _clamped_lower(value: float, eps: float) -> float:
-    bound = value - chernoff_delta(value, eps)
-    return max(bound, 0.0)
+def _lower_bound(constraints, caps: np.ndarray, objective: np.ndarray, eps: float) -> float:
+    """Minimum of the objective over one constraint block and the caps,
+    less its Chernoff deviation at ``eps``, clamped at zero."""
+    _, value = _solve_lp(objective, *constraints, caps)
+    return max(value - chernoff_delta(value, eps), 0.0)
 
 
-def _z_pairs(sifted: SiftedData, pop: PhotonPopulation) -> float:
-    return sifted.n_pulses * pop.basis_pair_prob["Z"]
-
-
-def lower_bound_m_k0(
-    sifted: SiftedData, bell: int, pop: PhotonPopulation, budget: ErrorBudget
+def _upper_bound_errors(
+    size_block, error_block, caps: np.ndarray, objective: np.ndarray, eps: float
 ) -> float:
-    """Lower bound on the number of Z signal-signal events where the second
-    party sent a vacuum state."""
-    _, value = _objective_minimum(
-        sifted.z_counts[bell], pop, budget, vacuum_objective(pop), _z_pairs(sifted, pop)
-    )
-    return _clamped_lower(value, budget.eps_0)
-
-
-def lower_bound_m_k1(
-    sifted: SiftedData, bell: int, pop: PhotonPopulation, budget: ErrorBudget
-) -> float:
-    """Lower bound on the number of Z signal-signal events where both parties
-    sent single photons."""
-    _, value = _objective_minimum(
-        sifted.z_counts[bell], pop, budget, single_pair_objective(pop), _z_pairs(sifted, pop)
-    )
-    return _clamped_lower(value, budget.eps_1)
+    """Upper bound on the single-photon-pair errors of the signal-signal X
+    set: the largest error population V_11 of a joint program over the
+    populations S and error populations V, which satisfy the set-size and
+    the error-count blocks and V_nm <= S_nm, plus its Chernoff deviation."""
+    (a_size, b_size), (a_err, b_err) = size_block, error_block
+    width = _GRID * _GRID
+    eye = np.eye(width)
+    a_ub = np.block([
+        [a_size, np.zeros((len(a_size), width))],
+        [np.zeros((len(a_err), width)), a_err],
+        [-eye, eye],
+    ])
+    b_ub = np.concatenate((b_size, b_err, np.zeros(width)))
+    cost = np.concatenate((np.zeros(width), objective.reshape(-1)))
+    _, worst = _solve_lp(cost, a_ub, b_ub, np.concatenate((caps, caps)), maximize=True)
+    return worst + (chernoff_delta(worst, eps) if worst > 0 else 0.0)
 
 
 def serfling_scale(m_bound: float, z_size: int, n_half: int, eps: float) -> int:
@@ -332,73 +297,18 @@ def serfling_scale(m_bound: float, z_size: int, n_half: int, eps: float) -> int:
     return max(math.floor(n_half * (m_bound / z_size) - n_half * lam), 0)
 
 
-@dataclass(frozen=True)
-class XBasisAux:
-    """X-basis side information: a lower bound on single-photon-pair events
-    and an upper bound on their errors, both for the signal-signal X set."""
-
-    n_bar_k1: float
-    e_bar_k1: float
-
-
-def x_basis_bounds(
-    sifted: SiftedData,
-    bell: int,
-    pop: PhotonPopulation,
-    budget: ErrorBudget,
-) -> XBasisAux:
-    """Bound the single-photon-pair population and errors of the X sets.
-
-    The single-photon errors are bounded by a joint linear program over
-    (populations, error populations), constrained by both the nine set sizes
-    and the nine error counts.
-    """
-    x_sizes = sifted.x_counts[bell]
-    x_pairs = sifted.n_pulses * pop.basis_pair_prob["X"]
-    _, value = _objective_minimum(
-        x_sizes, pop, budget, single_pair_objective(pop), x_pairs
-    )
-    n_bar = _clamped_lower(value, budget.eps_ke_x1)
-
-    n_vars = 2 * _GRID * _GRID  # populations S then error populations V
-    a_size, b_size = _population_constraints(x_sizes, pop, budget)
-    a_err, b_err = _population_constraints(sifted.x_errors[bell], pop, budget)
-    rows = []
-    rhs = []
-    for row, b in zip(a_size, b_size):
-        rows.append(np.concatenate([row, np.zeros(_GRID * _GRID)]))
-        rhs.append(b)
-    for row, b in zip(a_err, b_err):
-        rows.append(np.concatenate([np.zeros(_GRID * _GRID), row]))
-        rhs.append(b)
-    eye = np.eye(_GRID * _GRID)
-    for j in range(_GRID * _GRID):  # V_nm <= S_nm
-        rows.append(np.concatenate([-eye[j], eye[j]]))
-        rhs.append(0.0)
-    objective = np.concatenate(
-        [np.zeros(_GRID * _GRID), single_pair_objective(pop).reshape(-1)]
-    )
-    caps = None
-    if x_pairs > 0:
-        cap_s = _population_caps(pop, budget, x_pairs).reshape(-1)
-        caps = np.concatenate([cap_s, cap_s])
-    _, worst_errors = _solve_lp(
-        objective, np.array(rows), np.array(rhs), n_vars, maximize=True, upper=caps
-    )
-    e_bar = worst_errors + (
-        chernoff_delta(worst_errors, budget.eps_ke_x2) if worst_errors > 0 else 0.0
-    )
-    return XBasisAux(n_bar_k1=n_bar, e_bar_k1=e_bar)
-
-
-def upper_bound_e_k1(n_k1: int, aux: XBasisAux, budget: ErrorBudget) -> float:
-    """Single-photon phase-error rate bound transferred from the X basis."""
+def upper_bound_e_k1(
+    n_k1: int, n_bar_k1: float, e_bar_k1: float, budget: ErrorBudget
+) -> float:
+    """Single-photon phase-error rate bound transferred from the X basis,
+    from its single-pair lower bound n_bar_k1 and error upper bound
+    e_bar_k1."""
     if n_k1 <= 0:
         raise DegenerateSessionError("n_k1 = 0: the code string carries no bound")
-    n_bar = math.floor(aux.n_bar_k1)
+    n_bar = math.floor(n_bar_k1)
     if n_bar < 1:
         raise DegenerateSessionError("no single-photon X statistics to transfer")
-    count = n_k1 * (aux.e_bar_k1 / n_bar) + (n_k1 + n_bar) * upsilon(
+    count = n_k1 * (e_bar_k1 / n_bar) + (n_k1 + n_bar) * upsilon(
         n_k1, n_bar, budget.eps_ke_upsilon
     )
     count = min(math.ceil(count), n_k1)
@@ -507,6 +417,11 @@ def estimate_yields(
     because the session only aborts when every Bell state fails.
     """
     pop = photon_population(config_a, config_b)
+    caps = {
+        basis: _population_caps(pop, budget, sifted.n_pulses * pop.basis_pair_prob[basis])
+        for basis in ("Z", "X")
+    }
+    vacuum, single = vacuum_objective(pop), single_pair_objective(pop)
     rng = _estimate_rng(seed)
     estimates: dict[int, YieldEstimate] = {}
     for bell in (0, 1):
@@ -528,19 +443,24 @@ def estimate_yields(
         n_half = est.n_half
         est.e_upper = true_error_upper_bound(est.e_obs, n_half, r_k, budget.eps_pe)
         est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
+        z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
         try:
-            est.m_k0 = lower_bound_m_k0(sifted, bell, pop, budget)
-            est.m_k1 = lower_bound_m_k1(sifted, bell, pop, budget)
+            est.m_k0 = _lower_bound(z_block, caps["Z"], vacuum, budget.eps_0)
+            est.m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
         except InfeasibleObservationsError as exc:
             est.abort_reason = str(exc)
             continue
         est.n_k0 = serfling_scale(est.m_k0, size, n_half, budget.eps_k0_serfling)
         est.n_k1 = serfling_scale(est.m_k1, size, n_half, budget.eps_k1_serfling)
+        x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
+        error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
         try:
-            aux = x_basis_bounds(sifted, bell, pop, budget)
-            est.n_bar_k1 = aux.n_bar_k1
-            est.e_bar_k1 = aux.e_bar_k1
-            est.e_k1 = upper_bound_e_k1(est.n_k1, aux, budget)
+            n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
+            e_bar = _upper_bound_errors(
+                x_block, error_block, caps["X"], single, budget.eps_ke_x2
+            )
+            est.n_bar_k1, est.e_bar_k1 = n_bar, e_bar
+            est.e_k1 = upper_bound_e_k1(est.n_k1, n_bar, e_bar, budget)
         except (DegenerateSessionError, InfeasibleObservationsError) as exc:
             est.abort_reason = str(exc)
             est.e_k1 = 1.0

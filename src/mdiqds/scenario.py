@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
-from .security import build_security_report, select_code_string
+from .security import build_security_report, choose_thresholds
 from .session import ChannelTables, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
@@ -282,7 +282,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
         )
         details[name] = {str(b): e.to_dict() for b, e in result.estimates.items()}
         try:
-            bell, est = select_code_string(result)
+            bell = result.best_bell()
         except DegenerateSessionError as exc:
             payload = {
                 "mode": "montecarlo",
@@ -292,7 +292,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
                 "infeasible_reason": f"{name}: {exc}",
             }
             return EXIT_INFEASIBLE, payload
-        per_kgp[name] = (est, int(sifted.z_counts[bell, 0, 0]))
+        per_kgp[name] = (result.estimates[bell], int(sifted.z_counts[bell, 0, 0]))
     try:
         report = build_security_report(
             per_kgp,
@@ -329,9 +329,7 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     p_e = float(params["p_e"])
     if not e_bar < p_e:
         raise ValidationError("protocol scenario needs e_bar < p_e")
-    gap = p_e - e_bar
-    s_a = e_bar + gap / 3.0
-    s_v = e_bar + 2.0 * gap / 3.0
+    s_a, s_v = choose_thresholds(e_bar, p_e)
     trials = int(params["trials"])
     honest_error = float(params["honest_error"])
     seed = int(scenario.seed)

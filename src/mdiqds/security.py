@@ -10,7 +10,7 @@ exponent and the adversarial error floor, while ``c_k0_sifted``/
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .entropy import (
     binary_entropy,
@@ -21,13 +21,17 @@ from .entropy import (
 from .errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from .estimation import (
     ErrorBudget,
-    EstimationResult,
     YieldEstimate,
     estimate_yields,
     serfling_scale,
 )
 from .session import ChannelTables, expected_sifted_data
 from .sources import DecoySourceConfig, SystemProfile
+
+# correctness and privacy-amplification failure probabilities of the full key
+# distillation that mdi_qkd_key_length compares against
+EPS_COR = 1e-10
+EPS_PA = 1e-10
 
 
 def min_entropy_bound(
@@ -117,8 +121,6 @@ def mdi_qkd_key_length(
     e_bar: float,
     zeta: float,
     budget: ErrorBudget,
-    eps_cor: float = 1e-10,
-    eps_pa: float = 1e-10,
 ) -> tuple[float, float]:
     """Secret key length of full key distillation over the same data.
 
@@ -135,9 +137,9 @@ def mdi_qkd_key_length(
         n_k0
         + n_k1 * (1.0 - binary_entropy(e_k1))
         - leak_ec
-        - math.log2(8.0 / eps_cor)
+        - math.log2(8.0 / EPS_COR)
         - 2.0 * math.log2(2.0 / (budget.eps_k_prime * budget.eps_k_hat))
-        - 2.0 * math.log2(1.0 / (2.0 * eps_pa))
+        - 2.0 * math.log2(1.0 / (2.0 * EPS_PA))
     )
     asymptotic = (n_k / 2.0) * (
         c_k0_sifted
@@ -147,12 +149,16 @@ def mdi_qkd_key_length(
     return full, asymptotic
 
 
+# probabilities whose bounds can exceed 1 before they are reported
+_CLAMPED_TO_ONE = ("p_F", "pr_honest_abort", "pr_repudiation", "pr_forge")
+
+
 @dataclass
 class SecurityReport:
     """All security quantities of one signature session (or replay)."""
 
     n_k: int
-    n_sig: float
+    N_sig: float
     pulse_rate: float
     bell: dict = field(default_factory=dict)  # per-KGP selected Bell state
     e_k1: float = 1.0
@@ -183,7 +189,7 @@ class SecurityReport:
 
     @property
     def t_r_seconds(self) -> float:
-        return self.n_sig / self.pulse_rate
+        return self.N_sig / self.pulse_rate
 
     def meets_target(self, target: float) -> bool:
         return (
@@ -204,44 +210,10 @@ class SecurityReport:
             raise DomainError("honest abort probability out of range")
 
     def to_dict(self) -> dict:
-        return {
-            "n_k": self.n_k,
-            "N_sig": self.n_sig,
-            "pulse_rate": self.pulse_rate,
-            "t_r_seconds": self.t_r_seconds,
-            "bell": self.bell,
-            "e_k1": self.e_k1,
-            "h_min": self.h_min,
-            "h_min_approx": self.h_min_approx,
-            "c_k0": self.c_k0,
-            "c_k1": self.c_k1,
-            "c_k0_sifted": self.c_k0_sifted,
-            "c_k1_sifted": self.c_k1_sifted,
-            "E_bar": self.E_bar,
-            "p_E": self.p_E,
-            "p_E_clamped": self.p_E_clamped,
-            "feasible": self.feasible,
-            "s_a": self.s_a,
-            "s_v": self.s_v,
-            "p_F": min(self.p_F, 1.0),
-            "log2_p_F": self.log2_p_F,
-            "pr_honest_abort": min(self.pr_honest_abort, 1.0),
-            "pr_repudiation": min(self.pr_repudiation, 1.0),
-            "log2_pr_repudiation": self.log2_pr_repudiation,
-            "pr_forge": min(self.pr_forge, 1.0),
-            "l_k": self.l_k,
-            "l_k_asymptotic": self.l_k_asymptotic,
-            "zeta": self.zeta,
-            "validity_ok": self.validity_ok,
-            "per_bell": self.per_bell,
-            "infeasible_reason": self.infeasible_reason,
-        }
-
-
-def select_code_string(result: EstimationResult) -> tuple[int, YieldEstimate]:
-    """The Bell state whose code string has the smallest phase error."""
-    bell = result.best_bell()
-    return bell, result.estimates[bell]
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({name: min(out[name], 1.0) for name in _CLAMPED_TO_ONE})
+        out["t_r_seconds"] = self.t_r_seconds
+        return out
 
 
 def build_security_report(
@@ -271,7 +243,7 @@ def build_security_report(
 
     report = SecurityReport(
         n_k=n_k,
-        n_sig=n_sig,
+        N_sig=n_sig,
         pulse_rate=pulse_rate,
         zeta=zeta,
         per_bell=per_bell_details or {},
@@ -364,9 +336,10 @@ def _evaluate_budget(
     sifted = expected_sifted_data(rates, n_sig)
     result = estimate_yields(sifted, config_a, config_b, budget, r_fraction=r_fraction, seed=0)
     try:
-        bell, est = select_code_string(result)
+        bell = result.best_bell()
     except DegenerateSessionError:
         return None
+    est = result.estimates[bell]
     z_size = int(sifted.z_counts[bell, 0, 0])
     per_kgp = {"alice_bob": (est, z_size), "alice_charlie": (est, z_size)}
     details = {"alice_bob": {b: e.to_dict() for b, e in result.estimates.items()}}

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,12 +104,19 @@ class TestDeviationFunctions:
         assert chernoff_delta(5.0, 1.0) == 0.0
         assert chernoff_delta(2.0, E_INV) == pytest.approx(2.0, rel=1e-12)
         assert chernoff_delta(8.0, E_INV) == pytest.approx(4.0, rel=1e-12)
+        # on an array: element-wise, bit for bit the scalar formula
+        x = np.array([0.0, 1e-300, 0.5, 7.0, 123456.789, 3.7e12])
+        for y in (1.0, 0.3, 1e-40):
+            scalar = [math.sqrt(2.0 * float(v) * math.log(1.0 / y)) for v in x]
+            assert chernoff_delta(x, y).tolist() == scalar
 
     def test_chernoff_domain(self):
         with pytest.raises(DomainError):
             chernoff_delta(1.0, 0.0)
         with pytest.raises(DomainError):
             chernoff_delta(-1.0, 0.5)
+        with pytest.raises(DomainError):
+            chernoff_delta(np.array([[4.0, 0.0], [2.0, -1e-12]]), 0.5)
 
     def test_serfling_values(self):
         assert serfling_lambda(10, 5, 1.0) == 0.0

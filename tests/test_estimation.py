@@ -13,20 +13,22 @@ from mdiqds.errors import DegenerateSessionError, DomainError
 from mdiqds.estimation import (
     ErrorBudget,
     PhotonPopulation,
-    XBasisAux,
     chernoff_interval,
     check_validity,
     concentration_parameters,
     set_validity,
     estimate_yields,
-    lower_bound_m_k0,
-    lower_bound_m_k1,
     observed_error_rate,
     photon_population,
     serfling_scale,
+    single_pair_objective,
     true_error_upper_bound,
     upper_bound_e_k1,
-    _objective_minimum,
+    vacuum_objective,
+    _lower_bound,
+    _population_caps,
+    _population_constraints,
+    _solve_lp,
 )
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
@@ -71,20 +73,33 @@ DESK_BUDGET = ErrorBudget(
 )
 
 
-def make_sifted(z_counts, x_counts=None, z_errors=None, x_errors=None):
-    """Bare SiftedData with only the count matrices filled in."""
+def make_sifted(z_counts, x_counts=None, z_errors=None, x_errors=None, n_pulses=0):
+    """Bare SiftedData with only the count matrices (and the pulse count
+    that sets the population caps) filled in."""
     from mdiqds.session import SiftedData
 
     z = np.array(z_counts, dtype=np.int64)
     empty = np.zeros_like(z)
     return SiftedData(
-        n_pulses=0,
+        n_pulses=n_pulses,
         z_counts=z,
         x_counts=np.array(x_counts, dtype=np.int64) if x_counts is not None else z.copy(),
         z_errors=np.array(z_errors, dtype=np.int64) if z_errors is not None else empty.copy(),
         x_errors=np.array(x_errors, dtype=np.int64) if x_errors is not None else empty.copy(),
         population=np.zeros((2, 2, 3, 3, 11, 11), dtype=np.int64),
     )
+
+
+def z_lower_bound(sifted, bell, pop, budget, objective, eps):
+    """m_k0 (vacuum objective, eps_0) or m_k1 (single-pair objective,
+    eps_1) of one Bell state, built as estimate_yields builds it."""
+    constraints = _population_constraints(sifted.z_counts[bell], pop, budget)
+    caps = _population_caps(pop, budget, sifted.n_pulses * pop.basis_pair_prob["Z"])
+    return _lower_bound(constraints, caps, objective, eps)
+
+
+def m_k1(sifted, bell, pop, budget):
+    return z_lower_bound(sifted, bell, pop, budget, single_pair_objective(pop), budget.eps_1)
 
 
 class TestChernoffInterval:
@@ -100,12 +115,11 @@ class TestChernoffInterval:
     def test_sqrt_scaling(self):
         budget = ErrorBudget()
         rng = np.random.default_rng(0)
-        for _ in range(25):
-            n = float(rng.integers(10, 10**7))
-            d1, h1 = chernoff_interval(n, budget)
-            d4, h4 = chernoff_interval(4 * n, budget)
-            assert d4 == pytest.approx(2 * d1, rel=1e-9)
-            assert h4 == pytest.approx(2 * h1, rel=1e-9)
+        n = rng.integers(10, 10**7, size=25).astype(float)
+        d1, h1 = chernoff_interval(n, budget)
+        d4, h4 = chernoff_interval(4 * n, budget)
+        assert d4 == pytest.approx(2 * d1, rel=1e-9)
+        assert h4 == pytest.approx(2 * h1, rel=1e-9)
 
 
 class TestCheckValidity:
@@ -164,9 +178,8 @@ class TestPopulationLP:
     def _vertex_oracle(self, pop, sizes, budget, objective):
         """Exact minimum by enumerating all vertices of the projected
         4-variable polytope."""
-        from mdiqds.estimation import _interval_rows
-
-        lower, upper = _interval_rows(sizes, budget)
+        delta, delta_hat = chernoff_interval(sizes, budget)
+        lower, upper = np.maximum(sizes - delta_hat, 0.0), sizes + delta
         rows, rhs = [], []
         for ia in range(3):
             for ib in range(3):
@@ -207,21 +220,42 @@ class TestPopulationLP:
                     sizes[ia, ib] = pop.conditional[ia, ib, :2, :2].reshape(-1) @ truth
             objective = np.zeros((11, 11))
             objective[:2, :2] = rng.random((2, 2))
-            x, value = _objective_minimum(sizes, pop, budget, objective)
+            constraints = _population_constraints(sizes, pop, budget)
+            x, value = _solve_lp(objective, *constraints, np.full(11 * 11, np.inf))
             oracle = self._vertex_oracle(pop, sizes, budget, objective)
             assert oracle is not None
             assert value == pytest.approx(oracle, rel=1e-6, abs=1e-6), trial
             # objective evaluated at the optimizer equals the reported value
             assert objective.reshape(-1) @ x == pytest.approx(value, rel=1e-6)
 
+    def test_blocks_match_per_set_loop(self):
+        # reference: one scalar interval per non-empty set, (+row, -row)
+        # interleaved in set order, and one scalar cap per (n, m)
+        pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
+        budget = ErrorBudget(eps_set=1e-3, eps_set_hat=1e-6)
+        sizes = np.array([[9_000_123, 0, 17], [4, 0, 250_000], [1, 33, 0]])
+        rows, rhs = [], []
+        for (ia, ib), obs in np.ndenumerate(sizes.astype(float)):
+            if obs > 0:
+                delta, delta_hat = chernoff_interval(obs, budget)
+                rows += [pop.conditional[ia, ib].ravel(), -pop.conditional[ia, ib].ravel()]
+                rhs += [obs + delta, -max(obs - delta_hat, 0.0)]
+        a_ub, b_ub = _population_constraints(sizes, pop, budget)
+        assert np.array_equal(a_ub, np.array(rows))
+        assert b_ub.tobytes() == np.array(rhs).tobytes()
+        expected = 3.7e11 * pop.pair_pmf.ravel()
+        caps = [m + (chernoff_delta(m, budget.eps_cap) if m > 0 else 0.0) for m in expected]
+        assert _population_caps(pop, budget, 3.7e11).tobytes() == np.array(caps).tobytes()
+
     def test_empty_decoys_give_zero_vacuum_bound(self):
         sizes = np.zeros((3, 3))
         sizes[0, 0] = 5000
-        sifted = make_sifted(np.stack([sizes, sizes]))
+        sifted = make_sifted(np.stack([sizes, sizes]), n_pulses=10**9)
         pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
         budget = ErrorBudget()
-        assert lower_bound_m_k0(sifted, 0, pop, budget) == 0.0
-        assert lower_bound_m_k1(sifted, 0, pop, budget) == 0.0
+        vacuum = z_lower_bound(sifted, 0, pop, budget, vacuum_objective(pop), budget.eps_0)
+        assert vacuum == 0.0
+        assert m_k1(sifted, 0, pop, budget) == 0.0
 
     def test_bound_nonincreasing_in_interval_width(self):
         rt = ChannelTables(
@@ -231,7 +265,7 @@ class TestPopulationLP:
         pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
         tight = ErrorBudget(eps_set=1e-3, eps_set_hat=1e-3)
         wide = ErrorBudget(eps_set=1e-12, eps_set_hat=1e-12)
-        assert lower_bound_m_k1(sd, 0, pop, wide) <= lower_bound_m_k1(sd, 0, pop, tight)
+        assert m_k1(sd, 0, pop, wide) <= m_k1(sd, 0, pop, tight)
 
     def test_tightness_at_full_scale(self):
         rt = ChannelTables(
@@ -240,10 +274,10 @@ class TestPopulationLP:
         sd = expected_sifted_data(rt, 5.58e12)
         pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
         budget = ErrorBudget()
-        m_k1 = lower_bound_m_k1(sd, 0, pop, budget)
+        bound = m_k1(sd, 0, pop, budget)
         truth = sd.population[0, 0, 0, 0, 1, 1]
-        assert m_k1 <= truth
-        assert m_k1 >= 0.85 * truth
+        assert bound <= truth
+        assert bound >= 0.85 * truth
 
 
 class TestSerflingScale:
@@ -273,23 +307,21 @@ class TestSerflingScale:
 
 class TestPhaseError:
     def test_zero_errors(self):
-        aux = XBasisAux(n_bar_k1=1000.0, e_bar_k1=0.0)
-        assert upper_bound_e_k1(500, aux, ErrorBudget(eps_ke_upsilon=1.0)) == 0.0
+        assert upper_bound_e_k1(500, 1000.0, 0.0, ErrorBudget(eps_ke_upsilon=1.0)) == 0.0
 
     def test_capped_at_one(self):
-        aux = XBasisAux(n_bar_k1=10.0, e_bar_k1=500.0)
-        assert upper_bound_e_k1(100, aux, ErrorBudget()) == 1.0
+        assert upper_bound_e_k1(100, 10.0, 500.0, ErrorBudget()) == 1.0
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateSessionError):
-            upper_bound_e_k1(0, XBasisAux(10.0, 1.0), ErrorBudget())
+            upper_bound_e_k1(0, 10.0, 1.0, ErrorBudget())
         with pytest.raises(DegenerateSessionError):
-            upper_bound_e_k1(10, XBasisAux(0.0, 1.0), ErrorBudget())
+            upper_bound_e_k1(10, 0.0, 1.0, ErrorBudget())
 
     def test_monotone_in_x_errors(self):
         budget = ErrorBudget()
-        lo = upper_bound_e_k1(4000, XBasisAux(2000.0, 20.0), budget)
-        hi = upper_bound_e_k1(4000, XBasisAux(2000.0, 80.0), budget)
+        lo = upper_bound_e_k1(4000, 2000.0, 20.0, budget)
+        hi = upper_bound_e_k1(4000, 2000.0, 80.0, budget)
         assert hi >= lo
 
 
@@ -425,6 +457,16 @@ class TestEstimateYields:
         for est in res.estimates.values():
             assert (est.r_k, est.n_k) == (6, 94)
 
+    def test_four_lps_per_bell_state(self, rich_session, monkeypatch):
+        # m_k0, m_k1, n_bar_k1 and the joint error program, for both Bell states
+        calls = []
+        solve = estimation.linprog
+        monkeypatch.setattr(
+            estimation, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        assert len(calls) == 8
+
     def test_deterministic(self, rich_session):
         one = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
         two = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
@@ -437,7 +479,7 @@ class TestEstimateYields:
         lp = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
         for bell in (0, 1):
             observed = float(rich_session.x_errors[bell, 0, 0])
-            delta = chernoff_delta(observed, DESK_BUDGET.eps_ke_x2) if observed else 0.0
+            delta = chernoff_delta(observed, DESK_BUDGET.eps_ke_x2)
             assert observed + delta >= lp.estimates[bell].e_bar_k1
 
     def test_serialization_field_names(self, rich_session):
