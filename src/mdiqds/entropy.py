@@ -21,6 +21,10 @@ EXACT_TAIL_LIMIT = 10_000
 
 _LOG2_E = math.log2(math.e)
 
+# bisection of inverse_binary_entropy: bracket width and step limit
+_INVERSE_TOL = 1e-12
+_INVERSE_MAX_ITER = 200
+
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy h(p) in bits, with 0*log2(0) := 0."""
@@ -31,7 +35,7 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def inverse_binary_entropy(y: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def inverse_binary_entropy(y: float) -> float:
     """Unique p in [0, 1/2] with binary_entropy(p) = y.
 
     Bracketed bisection: unconditionally convergent, no derivative needed.
@@ -43,33 +47,27 @@ def inverse_binary_entropy(y: float, tol: float = 1e-12, max_iter: int = 200) ->
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= _INVERSE_TOL:
             break
     return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
 class LogProb:
-    """A probability or count sum carried as log2, with an exact-zero flag.
+    """A probability or count sum carried as log2.
 
     ``is_bound`` marks values computed via the entropy-exponent upper bound
     rather than the exact sum.
     """
 
     log2_value: float
-    is_zero: bool = False
     is_bound: bool = False
-
-    def linear(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return 2.0 ** self.log2_value
 
 
 def _log2_binom(n: int, m: int) -> float:

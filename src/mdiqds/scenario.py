@@ -32,11 +32,11 @@ EXIT_VALIDATION = 3
 class Scenario:
     """One fully resolved run configuration."""
 
-    mode: str
     source_a: DecoySourceConfig
     source_b: DecoySourceConfig
     profile: SystemProfile
     budget: ErrorBudget
+    mode: str = "analytic"
     target_security: float = 1e-4
     seed: int | None = None
     output_format: str = "json"
@@ -69,6 +69,13 @@ class Scenario:
         if not self.n_sig > 0:
             raise ValidationError("n_sig must be positive")
 
+
+# scenario-file key -> Scenario field, for the fields taken as they are given
+_SCENARIO_FIELDS = {
+    "mode": "mode", "seed": "seed", "format": "output_format", "scale_factor": "scale_factor",
+    "target_security": "target_security", "r_fraction": "r_fraction", "zeta": "zeta",
+    "n_sig": "n_sig",
+}
 
 # worked-example parameters for the analytic replay
 _ANALYTIC_DEFAULTS = {
@@ -150,10 +157,8 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     defaults to everything left unspecified."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
-    known = {
-        "mode", "seed", "format", "scale_factor", "target_security",
-        "source", "source_a", "source_b", "profile", "budget", "preset",
-        "r_fraction", "zeta", "n_sig", "analytic", "protocol",
+    known = _SCENARIO_FIELDS.keys() | {
+        "source", "source_a", "source_b", "profile", "budget", "preset", "analytic", "protocol",
     }
     unknown = set(raw) - known
     if unknown:
@@ -166,18 +171,11 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     source_b = _build_source({**shared, **_numbers(raw.get("source_b", {}), "source_b", ())})
     try:
         return Scenario(
-            mode=raw.get("mode", "analytic"),
             source_a=source_a,
             source_b=source_b,
             profile=_build_profile(raw.get("profile", {}), preset),
             budget=_build_budget(raw.get("budget", {})),
-            target_security=raw.get("target_security", 1e-4),
-            seed=raw.get("seed"),
-            output_format=raw.get("format", "json"),
-            scale_factor=raw.get("scale_factor", 1.0),
-            r_fraction=raw.get("r_fraction", presets.DEFAULT_R_FRACTION),
-            zeta=raw.get("zeta", presets.DEFAULT_ZETA),
-            n_sig=raw.get("n_sig", 5.58e12),
+            **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
             analytic={**_ANALYTIC_DEFAULTS, **_numbers(raw.get("analytic", {}), "analytic")},
             protocol_params={**_PROTOCOL_DEFAULTS,
                              **_numbers(raw.get("protocol", {}), "protocol")},
@@ -265,6 +263,12 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
     per_kgp = {}
     details = {}
     sessions = {}
+
+    def infeasible(reason: str) -> tuple[int, dict]:
+        return EXIT_INFEASIBLE, {"mode": "montecarlo", "sessions": sessions,
+                                 "yield_estimates": details, "security": None,
+                                 "infeasible_reason": reason}
+
     for index, name in enumerate(("alice_bob", "alice_charlie")):
         sifted = run_kgp_session(tables, pulses, seed=int(scenario.seed) + index)
         sessions[name] = {
@@ -284,14 +288,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
         try:
             bell = result.best_bell()
         except DegenerateSessionError as exc:
-            payload = {
-                "mode": "montecarlo",
-                "sessions": sessions,
-                "yield_estimates": details,
-                "security": None,
-                "infeasible_reason": f"{name}: {exc}",
-            }
-            return EXIT_INFEASIBLE, payload
+            return infeasible(f"{name}: {exc}")
         per_kgp[name] = (result.estimates[bell], int(sifted.z_counts[bell, 0, 0]))
     try:
         report = build_security_report(
@@ -303,14 +300,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
             per_bell_details=details,
         )
     except DegenerateSessionError as exc:
-        payload = {
-            "mode": "montecarlo",
-            "sessions": sessions,
-            "yield_estimates": details,
-            "security": None,
-            "infeasible_reason": str(exc),
-        }
-        return EXIT_INFEASIBLE, payload
+        return infeasible(str(exc))
     payload = {
         "mode": "montecarlo",
         "scale_factor": scenario.scale_factor,

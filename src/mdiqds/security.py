@@ -49,14 +49,14 @@ def min_entropy_bound(
 
 def forging_tail(
     n_k: int, r: float, h_min: float, eps_k: float, g: float
-) -> tuple[float, float, float, bool]:
+) -> tuple[float, float, bool]:
     """Probability budget for an adversary guessing the unknown half-key.
 
     The average probability of making at most r mistakes is bounded by
     T(r) * 2^(-h_min) + eps_k where T(r) sums the binomial coefficients; by
     Markov the realized probability stays below g except with probability
     p_F = (T(r) * 2^(-h_min) + eps_k) / g.  Returns
-    (p_r_bound=g, p_F, log2(p_F), used_exact_sum).
+    (p_F, log2(p_F), used_exact_sum).
 
     The exact sum is used for n_k <= 10^4; above that the entropy exponent
     (n_k/2) * h(2r/n_k) stands in for log2 T(r).
@@ -69,8 +69,7 @@ def forging_tail(
     tail = binomial_tail_log2(n_half, max(math.ceil(r) - 1, 0))
     log2_avg = tail.log2_value - h_min
     log2_p_f = log2addexp(log2_avg, math.log2(eps_k)) - math.log2(g)
-    p_f = 2.0**log2_p_f if log2_p_f < 0 else min(2.0**min(log2_p_f, 64.0), math.inf)
-    return g, p_f, log2_p_f, not tail.is_bound
+    return 2.0 ** min(log2_p_f, 64.0), log2_p_f, not tail.is_bound
 
 
 def solve_p_e(c_k0: float, c_k1: float, e_k1: float) -> tuple[float, bool]:
@@ -292,7 +291,7 @@ def build_security_report(
         report.check_invariants()
         return report
 
-    _, p_f, log2_p_f, _ = forging_tail(
+    p_f, log2_p_f, _ = forging_tail(
         n_k, report.s_v * n_half, report.h_min, budget.eps_k, budget.g
     )
     report.p_F = p_f
@@ -316,9 +315,7 @@ def build_security_report(
 
 @dataclass
 class SearchResult:
-    n_k: int
     n_sig: float
-    t_r_seconds: float
     report: SecurityReport
 
 
@@ -421,9 +418,4 @@ def signature_length_search(
             high, best = mid, report
         else:
             low = mid
-    return SearchResult(
-        n_k=best.n_k,
-        n_sig=high,
-        t_r_seconds=high / pulse_rate,
-        report=best,
-    )
+    return SearchResult(n_sig=high, report=best)

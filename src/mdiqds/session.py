@@ -8,17 +8,18 @@ and m) or is not recorded: the relay announced nothing, or the parties chose
 different bases.  The pulses are independent and identically distributed, so
 a session's tally is exactly Multinomial(N_sig, p) over the 8,712 cells and
 one "not recorded" cell.  `run_kgp_session` makes that one draw, so its cost
-does not grow with the pulse budget, and takes every count it returns (set
-sizes, error counts, the ground-truth photon-number population) from it.
+does not grow with the pulse budget; `expected_sifted_data` takes the draw's
+mean, N_sig * p, instead.  Both build their `SiftedData` from the tally the
+same way: every count (set sizes, error counts, the ground-truth
+photon-number population) is one of its marginals.
 
 The relay is untrusted, so the parties only see its announcement.  The one
 relay table on `ChannelTables` holds (P(psi_minus), P(psi_plus)) per relay
 input; `expected_rates` contracts it once with the channel's
-binomial-survival matrix and the source photon-number pmfs into p, from
-which the closed-form gains, error rates and populations are also summed.
-The tests check p against a plain per-pulse sampler, and the table against
-the brute-force Fock oracle.  The relay table is built whole, in closed
-form, when the tables are made.
+binomial-survival matrix and the source photon-number pmfs into p.  The
+tests check p against a plain per-pulse sampler, and the table against the
+brute-force Fock oracle.  The relay table is built whole, in closed form,
+when the tables are made.
 """
 
 from __future__ import annotations
@@ -92,10 +93,9 @@ class ChannelTables:
     # -- closed-form expectations ------------------------------------------
 
     def expected_rates(self) -> "RateTable":
-        """Exact per-cell announcement and error expectations under the
-        source, loss, misalignment, detector and dark-count model (photon
-        numbers truncated at N_CUT), and the per-pulse tally-cell
-        probabilities that a Monte-Carlo session draws from."""
+        """The per-pulse tally-cell probabilities under the source, loss,
+        misalignment, detector and dark-count model (photon numbers
+        truncated at N_CUT)."""
         if self._rates is not None:
             return self._rates
         # w[ia, ib, n, m]: probability of one polarization pair of a basis
@@ -122,70 +122,34 @@ class ChannelTables:
         # polarization pairs
         s = np.einsum("nk,ml,xyzklb,xyzbe->bxenm", surv, surv, self.relay[pol_a, :, pol_b],
                       split, optimize=True)
-        # contrib[bell, basis, ia, ib, error, n, m], given the intensity pair
-        # and that both parties chose that basis
-        contrib = s[:, :, None, None] * w[:, :, None]
-        population = contrib.sum(axis=4)
-        gain = population.sum(axis=(-2, -1))
-        err = contrib[:, :, :, :, 1].sum(axis=(-2, -1))
-        error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
         pa, pb = self.intensity_probs["a"], self.intensity_probs["b"]
         pz_a, pz_b = self.basis_z_prob["a"], self.basis_z_prob["b"]
         basis_match = np.array([pz_a * pz_b, (1.0 - pz_a) * (1.0 - pz_b)])
         choices = basis_match[:, None, None] * pa[:, None] * pb
+        # s * w is conditional on the intensity pair and on both parties
+        # choosing that basis; the product order fixes the rounding of p, and
+        # with it every seeded draw
         self._rates = RateTable(
-            gain=gain,
-            error_rate=error_rate,
-            population=population,
-            cell_probs=contrib * choices[:, :, :, None, None, None],
+            cell_probs=(s[:, :, None, None] * w[:, :, None]) * choices[:, :, :, None, None, None],
             residual=residual,
-            intensity_probs_a=pa,
-            intensity_probs_b=pb,
-            basis_match_probs=basis_match,
         )
         return self._rates
 
 
 @dataclass
 class RateTable:
-    """Closed-form per-cell expectations, conditional on the intensity pair
-    and on both parties choosing the same basis.
+    """``cell_probs[bell, basis, ia, ib, error, n, m]``: the probability that
+    one pulse is recorded in that tally cell.  ``residual`` bounds the
+    probability of the source photon-number pairs left out below the rate
+    floor."""
 
-    ``gain[bell, basis, ia, ib]`` is P(announce bell | cell); ``error_rate``
-    is the conditional sifted mismatch fraction; ``population[..., n, m]``
-    resolves the gain by source photon numbers.  ``cell_probs[bell, basis,
-    ia, ib, error, n, m]`` is unconditional: the probability that one pulse
-    is recorded in that tally cell.
-    """
-
-    gain: np.ndarray
-    error_rate: np.ndarray
-    population: np.ndarray
     cell_probs: np.ndarray
     residual: float
-    intensity_probs_a: np.ndarray
-    intensity_probs_b: np.ndarray
-    basis_match_probs: np.ndarray
 
     def expected_set_sizes(self, n_pulses: float) -> dict[str, np.ndarray]:
         """Expected |Z_k^{a,b}| and |X_k^{a,b}| for a pulse budget."""
-        pa = self.intensity_probs_a[:, None]
-        pb = self.intensity_probs_b[None, :]
-        out = {}
-        for basis_idx, name in ((0, "Z"), (1, "X")):
-            p_basis = self.basis_match_probs[basis_idx]
-            out[name] = n_pulses * p_basis * pa * pb * self.gain[:, basis_idx]
-        return out
-
-    def expected_population(self, n_pulses: float) -> np.ndarray:
-        """Expected ground-truth counts S_{k,nm} per set for a pulse budget."""
-        pa = self.intensity_probs_a[None, :, None, None, None]
-        pb = self.intensity_probs_b[None, None, :, None, None]
-        scaled = np.empty_like(self.population)
-        for basis_idx in range(2):
-            p_basis = self.basis_match_probs[basis_idx]
-            scaled[:, basis_idx] = n_pulses * p_basis * pa * pb * self.population[:, basis_idx]
-        return scaled
+        sizes = (n_pulses * self.cell_probs).sum(axis=(4, 5, 6))
+        return {"Z": sizes[:, 0], "X": sizes[:, 1]}
 
 
 @dataclass
@@ -196,8 +160,8 @@ class SiftedData:
     ``population[bell, basis, ia, ib, n, m]`` counts the recorded events by
     their true source photon numbers, and ``error_population`` counts the
     sifted mismatches among them the same way.  Both are ground truth, for
-    estimator validation only; the closed-form session of
-    `expected_sifted_data` leaves ``error_population`` unset.
+    estimator validation only; in the closed-form session of
+    `expected_sifted_data` they are expectations, not integers.
     """
 
     n_pulses: int
@@ -206,9 +170,26 @@ class SiftedData:
     z_errors: np.ndarray
     x_errors: np.ndarray
     population: np.ndarray
-    error_population: np.ndarray | None = None
+    error_population: np.ndarray
     # always empty; read by perfbench/tracing.py's event counters
     ev_bell: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+
+
+def _sifted(n_pulses: int, tally: np.ndarray) -> SiftedData:
+    """The session whose (bell, basis, ia, ib, error, n, m) tally is
+    ``tally``.  The set sizes and error counts are its marginals, rounded to
+    integers (exact on an integer tally)."""
+    sizes = np.rint(tally.sum(axis=(4, 5, 6))).astype(np.int64)
+    errors = np.rint(tally[:, :, :, :, 1].sum(axis=(-2, -1))).astype(np.int64)
+    return SiftedData(
+        n_pulses=n_pulses,
+        z_counts=sizes[:, 0],
+        x_counts=sizes[:, 1],
+        z_errors=errors[:, 0],
+        x_errors=errors[:, 1],
+        population=tally.sum(axis=4),
+        error_population=tally[:, :, :, :, 1],
+    )
 
 
 def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedData:
@@ -223,17 +204,7 @@ def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedDa
     flat = probs.ravel()
     rng = _session_rng(seed)
     tally = rng.multinomial(n_pulses, np.append(flat, 1.0 - flat.sum()))[:-1]
-    tally = tally.reshape(probs.shape)  # (bell, basis, ia, ib, error, n, m)
-    cells = tally.sum(axis=(5, 6))
-    return SiftedData(
-        n_pulses=n_pulses,
-        z_counts=cells[:, 0].sum(axis=-1),
-        x_counts=cells[:, 1].sum(axis=-1),
-        z_errors=cells[:, 0, ..., 1],
-        x_errors=cells[:, 1, ..., 1],
-        population=tally.sum(axis=4),
-        error_population=tally[:, :, :, :, 1],
-    )
+    return _sifted(n_pulses, tally.reshape(probs.shape))
 
 
 def _session_rng(seed: int) -> np.random.Generator:
@@ -246,37 +217,9 @@ def _sift_bits(basis: np.ndarray, bell: np.ndarray, raw_bits: np.ndarray) -> np.
     return raw_bits ^ flip.astype(raw_bits.dtype)
 
 
-def _spread_counts(total: int, weights: np.ndarray) -> np.ndarray:
-    """Apportion ``total`` integer counts by largest remainder."""
-    if total <= 0 or weights.sum() <= 0:
-        return np.zeros_like(weights, dtype=np.int64)
-    exact = weights / weights.sum() * total
-    floors = np.floor(exact).astype(np.int64)
-    short = total - floors.sum()
-    if short > 0:
-        order = np.argsort(exact - floors)[::-1]
-        floors.flat[order.ravel()[:short]] += 1
-    return floors
-
-
 def expected_sifted_data(rates: RateTable, n_pulses: float) -> SiftedData:
-    """Deterministic session whose counts equal the rounded closed-form
-    expectations.  Used to size budgets, where sampling noise would only
-    blur the length search; it holds counts only, so its size does not grow
-    with the pulse budget."""
-    sizes = rates.expected_set_sizes(n_pulses)
-    pop_expected = rates.expected_population(n_pulses)
-    z_counts = np.round(sizes["Z"]).astype(np.int64)
-    x_counts = np.round(sizes["X"]).astype(np.int64)
-    counts = np.stack([z_counts, x_counts], axis=1)  # (bell, basis, ia, ib)
-    population = np.zeros_like(pop_expected, dtype=np.int64)
-    for cell in np.ndindex(counts.shape):
-        population[cell] = _spread_counts(int(counts[cell]), pop_expected[cell])
-    return SiftedData(
-        n_pulses=int(n_pulses),
-        z_counts=z_counts,
-        x_counts=x_counts,
-        z_errors=np.round(sizes["Z"] * rates.error_rate[:, 0]).astype(np.int64),
-        x_errors=np.round(sizes["X"] * rates.error_rate[:, 1]).astype(np.int64),
-        population=population,
-    )
+    """Deterministic session: the mean of the Monte-Carlo draw, with its set
+    sizes and error counts rounded to integers.  Used to size budgets, where
+    sampling noise would only blur the length search; it holds counts only,
+    so its size does not grow with the pulse budget."""
+    return _sifted(int(n_pulses), n_pulses * rates.cell_probs)

@@ -87,6 +87,7 @@ def make_sifted(z_counts, x_counts=None, z_errors=None, x_errors=None, n_pulses=
         z_errors=np.array(z_errors, dtype=np.int64) if z_errors is not None else empty.copy(),
         x_errors=np.array(x_errors, dtype=np.int64) if x_errors is not None else empty.copy(),
         population=np.zeros((2, 2, 3, 3, 11, 11), dtype=np.int64),
+        error_population=np.zeros((2, 2, 3, 3, 11, 11), dtype=np.int64),
     )
 
 

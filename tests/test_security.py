@@ -99,12 +99,12 @@ class TestMinEntropy:
 
 class TestForgingTail:
     def test_epsilon_dominated(self):
-        _, p_f, _, _ = forging_tail(8_900_000, 0.028 * 4_450_000, 8.69e5, 1e-10, 1e-5)
+        p_f, _, _ = forging_tail(8_900_000, 0.028 * 4_450_000, 8.69e5, 1e-10, 1e-5)
         assert p_f == pytest.approx(1e-5, abs=1e-12)
 
     def test_small_case_bigint_oracle(self):
         n_k, r, h_min, eps_k, g = 20, 3, 10.0, 1e-10, 1e-5
-        _, p_f, _, used_exact = forging_tail(n_k, r, h_min, eps_k, g)
+        p_f, _, used_exact = forging_tail(n_k, r, h_min, eps_k, g)
         assert used_exact
         # strict threshold: fewer than 3 mistakes means at most 2
         tail = sum(math.comb(10, m) for m in range(3))
@@ -113,17 +113,13 @@ class TestForgingTail:
 
     def test_monotone_in_r(self):
         values = [
-            forging_tail(2000, r, 400.0, 1e-10, 1e-5)[1] for r in (0, 50, 100, 200)
+            forging_tail(2000, r, 400.0, 1e-10, 1e-5)[0] for r in (0, 50, 100, 200)
         ]
         assert values == sorted(values)
 
     def test_r_domain(self):
         with pytest.raises(DomainError):
             forging_tail(100, 51, 10.0, 1e-10, 1e-5)
-
-    def test_p_r_bound_is_g(self):
-        p_r, _, _, _ = forging_tail(1000, 10, 100.0, 1e-10, 3e-4)
-        assert p_r == 3e-4
 
     def test_exact_and_exponent_forms_agree_at_crossover(self):
         # the exact tail and the entropy exponent stay within a factor two
@@ -281,8 +277,8 @@ class TestSignatureLengthSearch:
         )
         assert result.report.meets_target(1e-4)
         assert 1e10 < result.n_sig < 2e13
-        assert result.t_r_seconds == pytest.approx(result.n_sig / 1e9)
-        assert result.n_k > 0
+        assert result.report.t_r_seconds == pytest.approx(result.n_sig / 1e9)
+        assert result.report.n_k > 0
         # tighter targets need at least as large a budget
         tighter = signature_length_search(
             PUBLISHED_CONFIG,

@@ -15,6 +15,7 @@ from mdiqds.session import (
     ChannelTables,
     _session_rng,
     _sift_bits,
+    expected_sifted_data,
     run_kgp_session,
 )
 from mdiqds.sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
@@ -41,18 +42,21 @@ FAVORABLE_PROFILE = SystemProfile(
 )
 
 
-def scalar_expected_rates(tables):
-    """Reference for `ChannelTables.expected_rates`: the scalar loop over
-    every (n, m) and every (k_a, k_b) arriving, one relay evaluation each."""
-    gain = np.zeros((2, 2, 3, 3))
-    err = np.zeros((2, 2, 3, 3))
-    population = np.zeros((2, 2, 3, 3, N_CUT + 1, N_CUT + 1))
+def scalar_cell_probs(tables):
+    """Reference for `RateTable.cell_probs`: the scalar loop over every
+    (n, m) and every (k_a, k_b) arriving, one relay evaluation each, times
+    the intensity and basis choice probabilities."""
+    cells = np.zeros((2, 2, 3, 3, 2, N_CUT + 1, N_CUT + 1))
     residual = 0.0
     surv = tables.binom_survive
+    pa, pb = tables.intensity_probs["a"], tables.intensity_probs["b"]
+    pz_a, pz_b = tables.basis_z_prob["a"], tables.basis_z_prob["b"]
+    basis_match = (pz_a * pz_b, (1.0 - pz_a) * (1.0 - pz_b))
     source = {}
     for ia, pmf_a in enumerate(tables.source_pmf["a"]):
         for ib, pmf_b in enumerate(tables.source_pmf["b"]):
             for basis_idx in range(2):
+                choice = basis_match[basis_idx] * pa[ia] * pb[ib]
                 for bit_a in (0, 1):
                     for bit_b in (0, 1):
                         # relay-table polarization index: basis * 2 + bit
@@ -71,14 +75,26 @@ def scalar_expected_rates(tables):
                                         for k_a in range(n + 1) for k_b in range(m + 1)
                                     )
                                 for bell in (0, 1):
-                                    p = w * source[key][bell]
-                                    gain[bell, basis_idx, ia, ib] += p
-                                    population[bell, basis_idx, ia, ib, n, m] += p
                                     # Bob flips in Z, and in X on psi_minus
-                                    if bit_a != bit_b ^ (basis_idx == 0 or bell == 0):
-                                        err[bell, basis_idx, ia, ib] += p
-    error_rate = np.divide(err, gain, out=np.zeros_like(err), where=gain > 0)
-    return gain, error_rate, population, residual
+                                    error = int(bit_a != bit_b ^ (basis_idx == 0 or bell == 0))
+                                    cells[bell, basis_idx, ia, ib, error, n, m] += (
+                                        choice * w * source[key][bell])
+    return cells, residual
+
+
+def conditional_rates(tables):
+    """(gain, error_rate)[bell, basis, ia, ib] from `RateTable.cell_probs`:
+    P(announce bell) and the sifted mismatch fraction, given the intensity
+    pair and that both parties chose that basis."""
+    cells = tables.expected_rates().cell_probs.sum(axis=(-2, -1))
+    pa, pb = tables.intensity_probs["a"], tables.intensity_probs["b"]
+    pz_a, pz_b = tables.basis_z_prob["a"], tables.basis_z_prob["b"]
+    basis_match = np.array([pz_a * pz_b, (1.0 - pz_a) * (1.0 - pz_b)])
+    choices = basis_match[:, None, None] * pa[:, None] * pb
+    gain = cells.sum(axis=-1) / choices
+    errors = cells[..., 1] / choices
+    error_rate = np.divide(errors, gain, out=np.zeros_like(errors), where=gain > 0)
+    return gain, error_rate
 
 
 def sample_pulses(tables, n_pulses, rng):
@@ -175,9 +191,10 @@ def favorable_tables():
 class TestExpectedRates:
     def test_ideal_z_error_free(self):
         profile = SystemProfile(distance_km=10.0, detector_efficiency=1.0)
-        rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
-        assert np.all(rt.error_rate[:, 0] == 0.0)
-        assert np.all(rt.gain[:, 0, 0, 0] > 0.0)
+        gain, error_rate = conditional_rates(
+            ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile))
+        assert np.all(error_rate[:, 0] == 0.0)
+        assert np.all(gain[:, 0, 0, 0] > 0.0)
 
     def test_vacuum_dark_coincidence(self):
         y0 = 1e-3
@@ -192,8 +209,8 @@ class TestExpectedRates:
             profile = SystemProfile(
                 distance_km=d, detector_efficiency=0.145, dark_count_prob=6.02e-6
             )
-            rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
-            gains.append(rt.gain[0, 0, 0, 0])
+            gain, _ = conditional_rates(ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile))
+            gains.append(gain[0, 0, 0, 0])
         assert gains[1] < gains[0]
 
     def test_residual_negligible(self, favorable_tables):
@@ -202,10 +219,8 @@ class TestExpectedRates:
     def test_matches_scalar_reference(self):
         tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
         rt = tables.expected_rates()
-        gain, error_rate, population, residual = scalar_expected_rates(tables)
-        np.testing.assert_allclose(rt.gain, gain, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(rt.error_rate, error_rate, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(rt.population, population, rtol=1e-12, atol=0.0)
+        cell_probs, residual = scalar_cell_probs(tables)
+        np.testing.assert_allclose(rt.cell_probs, cell_probs, rtol=1e-12, atol=0.0)
         assert rt.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("profile", [
@@ -218,16 +233,38 @@ class TestExpectedRates:
         # 0: ours rotates B's frame coherently, so pulses where only B's
         # two photons arrive announce (the signal-signal (0, 2) population
         # goes from 4.9e-8 to 2.0e-6 at 1%), a term their e_d model lacks.
-        rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile).expected_rates()
+        gain, error_rate = conditional_rates(
+            ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile))
         for ia, label_a in enumerate(INTENSITY_LABELS):
             for ib, label_b in enumerate(INTENSITY_LABELS):
                 mu_a = PUBLISHED_CONFIG.intensity(label_a)
                 mu_b = PUBLISHED_CONFIG.intensity(label_b)
                 q_z, q_x, errors_z, errors_x = ma_razavi_rates(profile, mu_a, mu_b)
-                gain = rt.gain[:, :, ia, ib].sum(axis=0)
-                errors = (rt.gain * rt.error_rate)[:, :, ia, ib].sum(axis=0)
-                np.testing.assert_allclose(gain, [q_z, q_x], rtol=1e-7, atol=0)
+                errors = (gain * error_rate)[:, :, ia, ib].sum(axis=0)
+                np.testing.assert_allclose(gain[:, :, ia, ib].sum(axis=0), [q_z, q_x],
+                                           rtol=1e-7, atol=0)
                 np.testing.assert_allclose(errors, [errors_z, errors_x], rtol=1e-7, atol=0)
+
+
+class TestExpectedSession:
+    @pytest.mark.parametrize("n_pulses", [1e6, 1e11, 2e13])
+    def test_counts_are_rounded_mean(self, n_pulses):
+        # the set sizes and error counts are the conditional gains and error
+        # rates scaled by the pulse budget and the choice probabilities,
+        # each rounded once: the error count rounds the sum over photon
+        # numbers, not every (n, m) cell
+        tables = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
+        sd = expected_sifted_data(tables.expected_rates(), n_pulses)
+        gain, error_rate = conditional_rates(tables)
+        pa, pb = tables.intensity_probs["a"], tables.intensity_probs["b"]
+        pz_a, pz_b = tables.basis_z_prob["a"], tables.basis_z_prob["b"]
+        for basis, p_basis, counts, errors in (
+            (0, pz_a * pz_b, sd.z_counts, sd.z_errors),
+            (1, (1.0 - pz_a) * (1.0 - pz_b), sd.x_counts, sd.x_errors),
+        ):
+            sizes = n_pulses * p_basis * pa[:, None] * pb * gain[:, basis]
+            assert np.array_equal(counts, np.rint(sizes))
+            assert np.array_equal(errors, np.rint(sizes * error_rate[:, basis]))
 
 
 class TestSessionStatistics:
@@ -250,10 +287,10 @@ class TestSessionStatistics:
     def test_error_rates_within_3_sigma(self, favorable_tables):
         n = 1_000_000
         sd = run_kgp_session(favorable_tables, n, seed=77)
-        rt = favorable_tables.expected_rates()
+        _, error_rate = conditional_rates(favorable_tables)
         for bell in (0, 1):
             m = sd.z_counts[bell, 0, 0]
-            e_model = rt.error_rate[bell, 0, 0, 0]
+            e_model = error_rate[bell, 0, 0, 0]
             sigma = math.sqrt(e_model * (1 - e_model) / m)
             e_obs = sd.z_errors[bell, 0, 0] / m
             assert abs(e_obs - e_model) < 3 * sigma
@@ -285,7 +322,8 @@ class TestSessionStatistics:
         sd = run_kgp_session(favorable_tables, n, seed=6)
         assert sd.population.sum() == sd.z_counts.sum() + sd.x_counts.sum()
         # the signal-signal Z ground truth sits at the closed-form population
-        expected = favorable_tables.expected_rates().expected_population(n)[:, 0, 0, 0]
+        expected = expected_sifted_data(favorable_tables.expected_rates(), n).population
+        expected = expected[:, 0, 0, 0]
         observed = sd.population[:, 0, 0, 0]
         resolved = expected > 50
         assert resolved[:, 1, 1].all()
