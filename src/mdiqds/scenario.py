@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
-from .security import build_security_report, choose_thresholds
+from .security import build_security_report, choose_thresholds, repudiation_bound
 from .session import ChannelTables, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
@@ -108,6 +108,21 @@ def _numbers(payload, where: str, keys=None) -> dict:
     return payload
 
 
+def _build_protocol(payload: dict) -> dict:
+    """The protocol parameters over their defaults, checked before any run."""
+    params = {**_PROTOCOL_DEFAULTS, **_numbers(payload, "protocol")}
+    for key in ("length", "trials"):
+        if not (params[key] > 0 and params[key] == int(params[key])):
+            raise ValidationError(f"protocol {key} must be a positive integer, "
+                                  f"got {params[key]!r}")
+    if params["length"] % 2 == 1:
+        raise ValidationError(f"protocol length must be even, got {params['length']!r}")
+    for key in ("honest_error", "e_bar", "p_e"):
+        if not 0.0 <= params[key] <= 1.0:
+            raise ValidationError(f"protocol {key} must lie in [0,1], got {params[key]!r}")
+    return params
+
+
 def _build_source(payload: dict) -> DecoySourceConfig:
     merged = {
         "intensities": dict(presets.DEFAULT_INTENSITIES),
@@ -177,8 +192,7 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
             budget=_build_budget(raw.get("budget", {})),
             **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
             analytic={**_ANALYTIC_DEFAULTS, **_numbers(raw.get("analytic", {}), "analytic")},
-            protocol_params={**_PROTOCOL_DEFAULTS,
-                             **_numbers(raw.get("protocol", {}), "protocol")},
+            protocol_params=_build_protocol(raw.get("protocol", {})),
         )
     except (ValidationError, DomainError) as exc:
         raise ValidationError(str(exc)) from exc
@@ -335,10 +349,12 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     half = length // 2
     abort_margin = s_a - honest_error
     abort_bound = 2.0 * math.exp(-2.0 * abort_margin**2 * half) if abort_margin > 0 else 1.0
-    repudiation_bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
+    transfer_bound = repudiation_bound(s_a, s_v, length)[0]
+    # exact integer division: in floats, 2.0**-half is 0 from L = 2150 and
+    # the tail sum overflows from L = 2538
     forge_bound = min(
         sum(math.comb(half, m) for m in range(max(math.ceil(s_v * half) - 1, 0) + 1))
-        * 2.0**-half,
+        / 2**half,
         1.0,
     )
 
@@ -352,8 +368,8 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
 
     checks = {
         "honest_abort": entry(honest["abort_rate"], abort_bound),
-        "transfer_failure": entry(honest["transfer_failure_rate"], repudiation_bound),
-        "repudiation": entry(repudiation_rate, repudiation_bound),
+        "transfer_failure": entry(honest["transfer_failure_rate"], transfer_bound),
+        "repudiation": entry(repudiation_rate, transfer_bound),
         "forging": entry(forge_rate, forge_bound),
     }
     payload = {

@@ -1,5 +1,7 @@
-"""Protocol mechanics against exact enumeration oracles."""
+"""Protocol mechanics against the record-level reference and exact
+enumeration oracles."""
 
+import json
 import math
 from collections import Counter
 
@@ -8,6 +10,13 @@ import pytest
 
 from mdiqds.errors import ValidationError
 from mdiqds.protocol import (
+    simulate_forging_bob,
+    simulate_honest_batch,
+    simulate_honest_run,
+    simulate_repudiating_alice,
+)
+
+from protocol_oracle import (
     DIRECT,
     FORWARDED,
     KGP_BOB,
@@ -15,11 +24,8 @@ from mdiqds.protocol import (
     Declaration,
     KeyRecord,
     distribute,
+    honest_transcript,
     sign,
-    simulate_forging_bob,
-    simulate_honest_batch,
-    simulate_honest_run,
-    simulate_repudiating_alice,
     symmetrize,
     verify,
 )
@@ -128,6 +134,9 @@ class TestSymmetrize:
 
 
 # -- signing and verification ------------------------------------------------
+#
+# The record-level reference signs and verifies literally; the production
+# transcript is checked against it below.
 
 
 class TestSignVerify:
@@ -203,6 +212,23 @@ class TestSignVerify:
         assert stats["transfer_failure_rate"] <= 2.0 * math.exp(
             -0.25 * (s_v - s_a) ** 2 * length
         ) + 3.0 / math.sqrt(trials)
+
+
+class TestCompactTranscript:
+    @pytest.mark.parametrize("length", [24, 50, 1000])
+    @pytest.mark.parametrize("message", [0, 1])
+    def test_matches_record_reference(self, length, message):
+        # L = 50 is not a multiple of 4, where merging Alice's two int8
+        # draws into one call would shift the stream
+        for seed in range(40):
+            # thresholds at e and 1.3 e give aborts, transfer failures and
+            # clean runs at every length
+            error = (0.05, 0.2, 0.4)[seed % 3]
+            args = (length, error, 0.6 * error, error, 1.3 * error, seed)
+            # compared as the report renders them, so numpy scalars fail
+            compact = json.dumps(simulate_honest_run(*args, message=message), sort_keys=True)
+            reference = json.dumps(honest_transcript(*args, message=message), sort_keys=True)
+            assert compact == reference
 
 
 # -- Monte-Carlo vs exact oracles --------------------------------------------

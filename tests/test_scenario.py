@@ -192,6 +192,15 @@ class TestCli:
             {"n_sig": -5},
             {"source": {"pulse_rate": float("nan")}},
             {"seed": -1},
+            {"protocol": {"length": -2}},
+            {"protocol": {"length": 999}},
+            {"protocol": {"length": 1000.5}},
+            {"protocol": {"trials": -5}},
+            {"protocol": {"trials": 0}},
+            {"protocol": {"trials": 10.7}},
+            {"protocol": {"honest_error": 1.5}},
+            {"protocol": {"e_bar": -0.01}},
+            {"protocol": {"p_e": 1.2}},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
@@ -210,6 +219,15 @@ class TestCli:
             assert result.exit_code == 3, result.output
             assert result.output.startswith("validation error: ")
             assert result.output.count("\n") == 1
+
+    def test_protocol_long_signature(self, tmp_path):
+        # the forging tail sum of a 4000-bit signature does not fit a float
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"protocol": {"length": 4000, "trials": 100}}))
+        result = CliRunner().invoke(main, ["protocol", "--seed", "3", "--config", str(path)])
+        assert result.exit_code == EXIT_OK, result.output
+        bound = json.loads(result.output)["checks"]["forging"]["bound"]
+        assert 0.0 < bound < 1e-100
 
     def test_simulate_infeasible_exit_code(self):
         runner = CliRunner()
