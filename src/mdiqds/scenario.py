@@ -84,6 +84,8 @@ _ANALYTIC_DEFAULTS = {
     "e_obs": 0.0207,
     "h_min_target": 8.69e5,
 }
+# the optional vacuum/single-photon split that replaces h_min_target
+_ANALYTIC_KEYS = _ANALYTIC_DEFAULTS.keys() | {"n_k0", "n_k1", "e_k1"}
 
 _PROTOCOL_DEFAULTS = {
     "length": 1000,
@@ -108,9 +110,18 @@ def _numbers(payload, where: str, keys=None) -> dict:
     return payload
 
 
+def _known(payload: dict, known, where: str) -> dict:
+    """``payload``, once every key it holds is in ``known``."""
+    unknown = payload.keys() - known
+    if unknown:
+        raise ValidationError(f"unknown {where} fields {sorted(unknown)}")
+    return payload
+
+
 def _build_protocol(payload: dict) -> dict:
     """The protocol parameters over their defaults, checked before any run."""
-    params = {**_PROTOCOL_DEFAULTS, **_numbers(payload, "protocol")}
+    params = {**_PROTOCOL_DEFAULTS,
+              **_known(_numbers(payload, "protocol"), _PROTOCOL_DEFAULTS, "protocol")}
     for key in ("length", "trials"):
         if not (params[key] > 0 and params[key] == int(params[key])):
             raise ValidationError(f"protocol {key} must be a positive integer, "
@@ -130,9 +141,8 @@ def _build_source(payload: dict) -> DecoySourceConfig:
         "basis_probs": dict(presets.DEFAULT_BASIS_PROBS),
         "pulse_rate": presets.DEFAULT_PULSE_RATE,
     }
-    for key, value in _numbers(payload, "source", {"pulse_rate"}).items():
-        if key not in merged:
-            raise ValidationError(f"unknown source field {key!r}")
+    for key, value in _known(_numbers(payload, "source", {"pulse_rate"}), merged,
+                             "source").items():
         if isinstance(merged[key], dict):
             merged[key] = {**merged[key], **_numbers(value, key)}
         else:
@@ -149,18 +159,12 @@ def _build_profile(payload: dict, preset: str | None) -> SystemProfile:
         "dark_count_prob": base.dark_count_prob,
         "misalignment": base.misalignment,
     }
-    for key, value in _numbers(payload, "profile").items():
-        if key not in merged:
-            raise ValidationError(f"unknown profile field {key!r}")
-        merged[key] = value
+    merged.update(_known(_numbers(payload, "profile"), merged, "profile"))
     return SystemProfile(**merged)
 
 
 def _build_budget(payload: dict) -> ErrorBudget:
-    known = {f.name for f in fields(ErrorBudget)}
-    unknown = set(_numbers(payload, "budget")) - known
-    if unknown:
-        raise ValidationError(f"unknown budget fields {sorted(unknown)}")
+    _known(_numbers(payload, "budget"), {f.name for f in fields(ErrorBudget)}, "budget")
     try:
         return ErrorBudget(**payload)
     except DomainError as exc:
@@ -172,12 +176,9 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     defaults to everything left unspecified."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
-    known = _SCENARIO_FIELDS.keys() | {
+    _known(raw, _SCENARIO_FIELDS.keys() | {
         "source", "source_a", "source_b", "profile", "budget", "preset", "analytic", "protocol",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"unknown scenario fields {sorted(unknown)}")
+    }, "scenario")
     _numbers({k: v for k, v in raw.items() if v is not None}, "scenario",
              {"seed", "scale_factor", "target_security", "r_fraction", "zeta", "n_sig"})
     preset = raw.get("preset", preset)
@@ -191,7 +192,8 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
             profile=_build_profile(raw.get("profile", {}), preset),
             budget=_build_budget(raw.get("budget", {})),
             **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
-            analytic={**_ANALYTIC_DEFAULTS, **_numbers(raw.get("analytic", {}), "analytic")},
+            analytic={**_ANALYTIC_DEFAULTS, **_known(
+                _numbers(raw.get("analytic", {}), "analytic"), _ANALYTIC_KEYS, "analytic")},
             protocol_params=_build_protocol(raw.get("protocol", {})),
         )
     except (ValidationError, DomainError) as exc:
@@ -344,7 +346,7 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     repudiation_rate = protocol.simulate_repudiating_alice(
         (s_a + s_v) / 2.0, (s_a + s_v) / 2.0, length, s_a, s_v, trials, seed + 1
     )
-    forge_rate = protocol.simulate_forging_bob("random-guess", length, s_v, trials, seed + 2)
+    forge_rate = protocol.simulate_forging_bob(length, s_v, trials, seed + 2)
 
     half = length // 2
     abort_margin = s_a - honest_error

@@ -286,8 +286,8 @@ def test_criterion_5_protocol_bound_conformance():
     ok = ok and rep_rate <= rep_bound + slack(rep_rate)
     detail.append(f"repudiation: {rep_rate:.5f} <= {rep_bound:.5f}")
 
-    # random-guess forging against the guessing tail
-    forge_rate = simulate_forging_bob("random-guess", length, s_v, trials, seed=94)
+    # forging by copying the forwarded half, against the guessing tail
+    forge_rate = simulate_forging_bob(length, s_v, trials, seed=94)
     forge_bound = min(
         sum(math.comb(half, m) for m in range(max(math.ceil(s_v * half) - 1, 0) + 1))
         * 2.0**-half,
@@ -305,8 +305,8 @@ def test_criterion_5_protocol_bound_conformance():
     rep = simulate_repudiating_alice(o_err, o_err, oracle_length, o_sa, o_sv, oracle_trials, seed=96)
     want_rep = exact_repudiation(oracle_length, o_err, o_err, o_sa, o_sv)
     ok = ok and abs(rep - want_rep) <= 3 * math.sqrt(want_rep * (1 - want_rep) / oracle_trials)
-    forge = simulate_forging_bob("random-guess", oracle_length, o_sv, oracle_trials, seed=97)
-    want_forge = exact_forging(oracle_length, o_sv, "random-guess")
+    forge = simulate_forging_bob(oracle_length, o_sv, oracle_trials, seed=97)
+    want_forge = exact_forging(oracle_length, o_sv)
     ok = ok and abs(forge - want_forge) <= 3 * math.sqrt(
         want_forge * (1 - want_forge) / oracle_trials
     )

@@ -56,11 +56,21 @@ def accept_limit(threshold, length):
     return math.ceil(threshold * length / 2.0) - 1
 
 
+def half_accept_prob(length, error_rate, threshold):
+    """A Binomial(L/2, e) half count lies strictly below threshold * L/2."""
+    return binom_cdf(accept_limit(threshold, length), length // 2, error_rate)
+
+
 def exact_honest_abort(length, error_rate, s_a):
-    half = length // 2
-    lim = accept_limit(s_a, length)
-    p_half_ok = binom_cdf(lim, half, error_rate)
-    return 1.0 - p_half_ok**2
+    return 1.0 - half_accept_prob(length, error_rate, s_a) ** 2
+
+
+def exact_transfer_failure(length, error_rate, s_a, s_v):
+    # Bob accepts both of his halves, Charlie rejects one of his; the four
+    # half counts of an honest run are independent
+    p_a = half_accept_prob(length, error_rate, s_a)
+    p_v = half_accept_prob(length, error_rate, s_v)
+    return p_a**2 * (1.0 - p_v**2)
 
 
 def exact_repudiation(length, e_b, e_c, s_a, s_v):
@@ -80,11 +90,9 @@ def exact_repudiation(length, e_b, e_c, s_a, s_v):
     return total
 
 
-def exact_forging(length, s_v, strategy):
-    half = length // 2
-    lim = accept_limit(s_v, length)
-    p_half = binom_cdf(lim, half, 0.5)
-    return p_half**2 if strategy == "random-guess" else p_half
+def exact_forging(length, s_v):
+    # the copied half shows no mismatch; the guessed half is Binomial(L/2, 1/2)
+    return half_accept_prob(length, 0.5, s_v)
 
 
 # -- symmetrization ----------------------------------------------------------
@@ -252,12 +260,20 @@ class TestAgainstOracles:
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(rate - exact) < 3 * sigma
 
-    @pytest.mark.parametrize("strategy", ["random-guess", "copy-known-half-randomize-rest"])
-    def test_forging_matches_enumeration(self, strategy):
+    def test_transfer_failure_matches_enumeration(self):
+        length, error, s_a, s_v = 24, 0.25, 0.35, 0.5
+        trials = 20_000
+        stats = simulate_honest_batch(length, error, s_a, s_v, trials, seed=12)
+        exact = exact_transfer_failure(length, error, s_a, s_v)
+        assert 0.01 < exact < 0.99
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(stats["transfer_failure_rate"] - exact) < 3 * sigma
+
+    def test_forging_matches_enumeration(self):
         length, s_v = 24, 0.4
         trials = 20_000
-        rate = simulate_forging_bob(strategy, length, s_v, trials, seed=17)
-        exact = exact_forging(length, s_v, strategy)
+        rate = simulate_forging_bob(length, s_v, trials, seed=17)
+        exact = exact_forging(length, s_v)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(rate - exact) < 3 * sigma
 
@@ -296,10 +312,10 @@ class TestBoundConformance:
         assert rate <= bound + 3.0 * math.sqrt(max(rate, 1.0 / trials) / trials)
 
     def test_forging_vanishes_for_large_keys(self):
-        rate = simulate_forging_bob("random-guess", 400, 0.25, 3000, seed=29)
+        rate = simulate_forging_bob(400, 0.25, 3000, seed=29)
         assert rate == 0.0
 
     def test_forging_certain_in_majority_regime(self):
         # hypothetical s_v >= 1/2, excluded by the protocol preconditions
-        rate = simulate_forging_bob("copy-known-half-randomize-rest", 400, 0.7, 500, seed=31)
+        rate = simulate_forging_bob(400, 0.7, 500, seed=31)
         assert rate > 0.99

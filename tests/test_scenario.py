@@ -1,6 +1,7 @@
 """Scenario loading, orchestration, determinism, and the CLI surface."""
 
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -201,6 +202,9 @@ class TestCli:
             {"protocol": {"honest_error": 1.5}},
             {"protocol": {"e_bar": -0.01}},
             {"protocol": {"p_e": 1.2}},
+            {"protocol": {"lenght": 4000}},
+            {"protocol": {"trails": 5}},
+            {"analytic": {"n_kk": 1}},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
@@ -221,11 +225,18 @@ class TestCli:
             assert result.output.count("\n") == 1
 
     def test_protocol_long_signature(self, tmp_path):
-        # the forging tail sum of a 4000-bit signature does not fit a float
+        # the forging tail sum of a 10^4-bit signature does not fit a float,
+        # and no battery holds a trials x length array
         path = tmp_path / "long.json"
-        path.write_text(json.dumps({"protocol": {"length": 4000, "trials": 100}}))
-        result = CliRunner().invoke(main, ["protocol", "--seed", "3", "--config", str(path)])
+        path.write_text(json.dumps({"protocol": {"length": 10_000, "trials": 1_000}}))
+        tracemalloc.start()
+        try:
+            result = CliRunner().invoke(main, ["protocol", "--seed", "3", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert result.exit_code == EXIT_OK, result.output
+        assert peak < 4e6, f"protocol run peaked at {peak / 1e6:.1f} MB"
         bound = json.loads(result.output)["checks"]["forging"]["bound"]
         assert 0.0 < bound < 1e-100
 
