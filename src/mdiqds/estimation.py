@@ -18,8 +18,12 @@ Nat. Commun. 5, 3732 (2014)).  The chain per Bell state k:
    errors ē_{k,1} from above.  Together they bound the single-photon phase
    error e_{k,1}.
 
-That is four programs per Bell state.  All probability bookkeeping lives in
-ErrorBudget; every bound holds except with the probability recorded there.
+That is four programs per Bell state.  A Bell state whose Z counts, X counts
+and X error counts equal an earlier state's takes that state's program
+results instead of solving them again; the expected session of a symmetric
+link gives both Bell states the same counts, so it solves four programs in
+all.  All probability bookkeeping lives in ErrorBudget; every bound holds
+except with the probability recorded there.
 """
 
 from __future__ import annotations
@@ -403,6 +407,21 @@ def _estimate_rng(seed: int) -> np.random.Generator:
                                                         spawn_key=(_ESTIMATE_STREAM,)))
 
 
+def split_signal_set(size: int, r_fraction: float) -> tuple[int, int] | None:
+    """(R_k, n_k): the error-estimation bits of a signal-signal Z set of
+    ``size`` bits and the code string left, rounded down to even for the
+    keep/forward split; None when the set is too small to split."""
+    r_k = int(round(r_fraction * size))
+    if size < 4 or r_k < 1 or size - r_k < 2:
+        return None
+    return r_k, (size - r_k) // 2 * 2
+
+
+# the YieldEstimate fields that the decoy programs determine
+_PROGRAM_FIELDS = ("m_k0", "m_k1", "n_k0", "n_k1", "n_bar_k1", "e_bar_k1", "e_k1", "usable",
+                   "abort_reason")
+
+
 def estimate_yields(
     sifted: SiftedData,
     config_a: DecoySourceConfig,
@@ -414,7 +433,10 @@ def estimate_yields(
     """Run the estimation chain for both announced Bell states.
 
     Bell states without enough data are marked unusable rather than raising,
-    because the session only aborts when every Bell state fails.
+    because the session only aborts when every Bell state fails.  A Bell
+    state whose program inputs (Z counts, X counts, X error counts) equal an
+    earlier state's reuses its program results; its own e_obs is still
+    drawn, so the random stream does not depend on the reuse.
     """
     pop = photon_population(config_a, config_b)
     caps = {
@@ -424,9 +446,9 @@ def estimate_yields(
     vacuum, single = vacuum_objective(pop), single_pair_objective(pop)
     rng = _estimate_rng(seed)
     estimates: dict[int, YieldEstimate] = {}
+    solved: list[tuple[tuple[np.ndarray, ...], YieldEstimate]] = []
     for bell in (0, 1):
         size = int(sifted.z_counts[bell, 0, 0])
-        r_k = int(round(r_fraction * size))
         est = YieldEstimate(
             bell=bell, n_k=0, r_k=0, e_obs=0.0, e_upper=1.0,
             m_k0=0.0, m_k1=0.0, n_k0=0, n_k1=0, e_k1=1.0,
@@ -434,15 +456,23 @@ def estimate_yields(
             budget=budget,
         )
         estimates[bell] = est
-        if size < 4 or r_k < 1 or size - r_k < 2:
+        split = split_signal_set(size, r_fraction)
+        if split is None:
             est.abort_reason = f"signal-signal Z set too small ({size})"
             continue
-        est.r_k = r_k
-        est.e_obs = observed_error_rate(size, int(sifted.z_errors[bell, 0, 0]), r_k, rng)
-        est.n_k = (size - r_k) // 2 * 2  # keep/forward split needs an even code string
+        est.r_k, est.n_k = split
+        est.e_obs = observed_error_rate(size, int(sifted.z_errors[bell, 0, 0]), est.r_k, rng)
         n_half = est.n_half
-        est.e_upper = true_error_upper_bound(est.e_obs, n_half, r_k, budget.eps_pe)
+        est.e_upper = true_error_upper_bound(est.e_obs, n_half, est.r_k, budget.eps_pe)
         est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
+        counts = (sifted.z_counts[bell], sifted.x_counts[bell], sifted.x_errors[bell])
+        twin = next((done for seen, done in solved if all(map(np.array_equal, seen, counts))),
+                    None)
+        if twin is not None:
+            for name in _PROGRAM_FIELDS:
+                setattr(est, name, getattr(twin, name))
+            continue
+        solved.append((counts, est))
         z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
         try:
             est.m_k0 = _lower_bound(z_block, caps["Z"], vacuum, budget.eps_0)

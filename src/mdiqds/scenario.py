@@ -352,13 +352,7 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     abort_margin = s_a - honest_error
     abort_bound = 2.0 * math.exp(-2.0 * abort_margin**2 * half) if abort_margin > 0 else 1.0
     transfer_bound = repudiation_bound(s_a, s_v, length)[0]
-    # exact integer division: in floats, 2.0**-half is 0 from L = 2150 and
-    # the tail sum overflows from L = 2538
-    forge_bound = min(
-        sum(math.comb(half, m) for m in range(max(math.ceil(s_v * half) - 1, 0) + 1))
-        / 2**half,
-        1.0,
-    )
+    forge_bound = protocol.forging_success_probability(length, s_v)
 
     def entry(rate, bound):
         sigma = math.sqrt(max(rate * (1 - rate), 1.0 / trials) / trials)

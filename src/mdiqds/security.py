@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .entropy import (
     binary_entropy,
     binomial_tail_log2,
@@ -24,6 +26,7 @@ from .estimation import (
     YieldEstimate,
     estimate_yields,
     serfling_scale,
+    split_signal_set,
 )
 from .session import ChannelTables, expected_sifted_data
 from .sources import DecoySourceConfig, SystemProfile
@@ -363,9 +366,15 @@ def signature_length_search(
     """Smallest pulse budget meeting the security target on every bound.
 
     Uses the closed-form expected statistics and the full bound pipeline.
-    Both key-generation links are assumed symmetric.  Raises
-    InfeasibleBoundsError when even unlimited statistics cannot separate the
-    honest error rate from the adversarial floor.
+    Both key-generation links are assumed symmetric.  A ×4 ladder from 1e6
+    pulses brackets the budget and a geometric bisection narrows it to
+    ``relative_tolerance``.  The ladder skips, without evaluating it, every
+    budget whose code string is too short for the repudiation bound to meet
+    the target at any thresholds: p_E <= 1/2 and E_bar >= 0, so
+    s_v - s_a <= 1/6.  Such a budget fails anyway, so the bracket and the
+    result are those of the plain ladder.  Raises InfeasibleBoundsError when
+    even unlimited statistics cannot separate the honest error rate from the
+    adversarial floor.
     """
     if tables is None:
         tables = ChannelTables(config_a, config_b, profile)
@@ -384,14 +393,24 @@ def signature_length_search(
             tables, config_a, config_b, n_sig, budget, zeta, r_fraction, pulse_rate
         )
 
+    rates = tables.expected_rates()
+
+    def repudiation_rules_out(n_sig: float) -> bool:
+        # the longest code string either Bell state could give, split as
+        # estimate_yields splits the expected session's set sizes
+        sizes = np.rint(rates.expected_set_sizes(n_sig)["Z"][:, 0, 0])
+        splits = [split_signal_set(int(size), r_fraction) for size in sizes]
+        n_k = max((split[1] for split in splits if split is not None), default=0)
+        return repudiation_bound(0.0, 1.0 / 6.0, n_k)[0] > target_security
+
     lo, hi = None, None
     n_sig = 1e6
     while n_sig < budget_cap:
-        n_sig = min(n_sig, budget_cap)
-        report = evaluate(n_sig)
-        if report is not None and report.meets_target(target_security):
-            hi = (n_sig, report)
-            break
+        if not repudiation_rules_out(n_sig):
+            report = evaluate(n_sig)
+            if report is not None and report.meets_target(target_security):
+                hi = (n_sig, report)
+                break
         lo = n_sig
         n_sig *= 4.0
     if hi is None:

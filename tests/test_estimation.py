@@ -468,6 +468,41 @@ class TestEstimateYields:
         estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
         assert len(calls) == 8
 
+    def test_equal_bell_states_share_programs(self, monkeypatch):
+        # the expected session of a symmetric link gives both Bell states the
+        # same counts, so Bell 1 takes Bell 0's program results
+        rates = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
+        sifted = expected_sifted_data(rates, 5.58e12)
+        for counts in (sifted.z_counts, sifted.x_counts, sifted.x_errors):
+            assert np.array_equal(counts[0], counts[1])
+        calls = []
+        solve = estimation.linprog
+        monkeypatch.setattr(
+            estimation, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+
+        def estimate():
+            calls.clear()
+            return estimate_yields(sifted, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget())
+
+        shared = estimate().estimates
+        assert len(calls) == 4
+        program_fields = ("m_k0", "m_k1", "n_k0", "n_k1", "n_bar_k1", "e_bar_k1", "e_k1",
+                          "usable", "abort_reason")
+        assert shared[1].usable
+        for name in program_fields:
+            assert getattr(shared[1], name) == getattr(shared[0], name), name
+        # with one Bell-0 X count changed, Bell 1 solves its own programs and
+        # gets the results it shared
+        sifted.x_counts[0, 0, 0] += 1
+        alone = estimate().estimates
+        assert len(calls) == 8
+        assert alone[1].to_dict() == shared[1].to_dict()
+        sifted.x_counts[0, 0, 0] -= 1
+        sifted.x_counts[1, 0, 0] += 1
+        estimate()
+        assert len(calls) == 8
+
     def test_deterministic(self, rich_session):
         one = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
         two = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)

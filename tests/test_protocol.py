@@ -10,6 +10,7 @@ import pytest
 
 from mdiqds.errors import ValidationError
 from mdiqds.protocol import (
+    forging_success_probability,
     simulate_forging_bob,
     simulate_honest_batch,
     simulate_honest_run,
@@ -319,3 +320,17 @@ class TestBoundConformance:
         # hypothetical s_v >= 1/2, excluded by the protocol preconditions
         rate = simulate_forging_bob(400, 0.7, 500, seed=31)
         assert rate > 0.99
+
+
+class TestForgingSuccessProbability:
+    # s_v > 1/2 lies outside the protocol's preconditions; those cases only
+    # check the terms past C(n, n), which are zero
+    @pytest.mark.parametrize("length, s_v", [
+        *((length, s_v) for length in (2, 24, 1000, 10**4) for s_v in (0.0, 0.05, 0.2, 0.45)),
+        (2, 1.0), (24, 0.7), (24, 1.0), (1000, 0.7),
+    ])
+    def test_equals_binomial_coefficient_sum(self, length, s_v):
+        half = length // 2
+        limit = max(math.ceil(s_v * half) - 1, 0)
+        tail = sum(math.comb(half, m) for m in range(limit + 1))
+        assert forging_success_probability(length, s_v) == min(tail / 2**half, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdiqds.entropy import binary_entropy, binomial_tail_log2
-from mdiqds import presets
+from mdiqds import presets, security
 from mdiqds.errors import DomainError, InfeasibleBoundsError
 from mdiqds.estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
 from mdiqds.security import (
@@ -20,8 +20,10 @@ from mdiqds.security import (
     signature_length_search,
     solve_p_e,
 )
+from mdiqds.scenario import render_report
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import DecoySourceConfig, SystemProfile
+from search_oracle import plain_length_search
 
 BUDGET = ErrorBudget()
 
@@ -342,6 +344,40 @@ class TestSignatureLengthSearch:
                 target_security=1e-5,
                 relative_tolerance=0.5,
             )
+
+
+class TestLadderSkip:
+    """The search skips ladder points that the repudiation bound rules out
+    and still returns what the plain ladder and bisection return."""
+
+    @pytest.mark.parametrize("link, target", [
+        ("standard", 1e-4), ("snspd", 1e-4), ("published", 5e-5), ("published", 1.0),
+    ])
+    def test_same_result_as_plain_search(self, link, target, monkeypatch):
+        if link == "published":
+            config, profile = PUBLISHED_CONFIG, PUBLISHED_PROFILE
+        else:
+            config, profile = presets.default_source_config(), presets.profile_for_preset(link)
+        tables = ChannelTables(config, config, profile)
+        evaluated = []
+        evaluate = security._evaluate_budget
+        monkeypatch.setattr(
+            security, "_evaluate_budget", lambda *args: evaluated.append(args[3]) or evaluate(*args)
+        )
+        result = signature_length_search(config, config, profile, BUDGET, target, tables=tables)
+        monkeypatch.undo()
+        reference, trajectory = plain_length_search(config, config, BUDGET, target, tables)
+
+        def rendered(found):
+            return render_report({"n_sig": found.n_sig, **found.report.to_dict()})
+
+        assert result.n_sig == reference.n_sig
+        assert rendered(result) == rendered(reference)
+        skipped = [(n_sig, report) for n_sig, report in trajectory if n_sig not in evaluated]
+        for n_sig, report in skipped:
+            assert report is None or not report.meets_target(target), n_sig
+        # at target 1 the clamped repudiation bound never rules a point out
+        assert bool(skipped) == (target < 1.0)
 
 
 @pytest.fixture(scope="module", params=sorted(presets.DETECTOR_PRESETS))
