@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
@@ -17,17 +18,44 @@ from .scenario import (
     table_rows_to_csv,
 )
 
+# command -> (scenario mode, help text)
+COMMANDS = {
+    "analytic": ("analytic", "Replay the security pipeline from configured inputs."),
+    "simulate": ("montecarlo", "Monte-Carlo key generation at a scaled pulse budget."),
+    "protocol": ("protocol", "Signing-protocol trial batteries against the analytic bounds."),
+    "tables": ("table-sweep", "Replay the published raw-key-generation-time rows."),
+}
 
-def _load(config, preset, mode, seed, scale, output_format):
-    """The config file's fields, overridden by the options given and the mode."""
-    raw = read_scenario_file(config) if config is not None else {}
-    options = {"seed": seed, "scale_factor": scale, "format": output_format}
-    raw = {**raw, **{k: v for k, v in options.items() if v is not None}, "mode": mode}
-    return scenario_from_dict(raw, preset=preset)
+# every command's options; --seed, --scale and --format, when given, override
+# the scenario-file key that their value is named after
+OPTIONS = (
+    click.Option(["--config"], type=click.Path(), help="scenario JSON file"),
+    click.Option(["--preset"], help="detector preset name"),
+    click.Option(["--seed"], type=int, help="64-bit RNG seed"),
+    click.Option(["--scale", "scale_factor"], type=float,
+                 help="desk-scale divisor for pulse budgets"),
+    click.Option(["--out"], type=click.Path(), help="output path"),
+    click.Option(["--format"], type=click.Choice(["json", "csv"])),
+)
 
 
-def _emit(code: int, payload: dict, out: str | None, output_format: str):
-    if output_format == "csv":
+def _run(mode: str, config, preset, out, **overrides):
+    """Run ``mode`` on the config file's fields, overridden by the options
+    given, and exit with the run's code."""
+    try:
+        raw = read_scenario_file(config) if config is not None else {}
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}, "mode": mode}
+        scenario = scenario_from_dict(raw, preset=preset)
+        # checked before the run, so a long simulation is not lost at the end
+        if out is not None and not Path(out).parent.is_dir():
+            raise ValidationError(f"output directory does not exist: {Path(out).parent}")
+        code, payload = run(scenario)
+    except (ValidationError, DomainError) as exc:
+        # a DomainError here comes from configured inputs (the analytic ones)
+        # or from a session past the samplers' limits
+        click.echo(f"validation error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    if scenario.output_format == "csv":
         text = table_rows_to_csv(payload["rows"])
     else:
         text = render_report(payload)
@@ -39,65 +67,15 @@ def _emit(code: int, payload: dict, out: str | None, output_format: str):
     sys.exit(code)
 
 
-def _common_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="scenario JSON file")(fn)
-    fn = click.option("--preset", default=None, help="detector preset name")(fn)
-    fn = click.option("--seed", type=int, default=None, help="64-bit RNG seed")(fn)
-    fn = click.option("--scale", type=float, default=None,
-                      help="desk-scale divisor for pulse budgets")(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="output path")(fn)
-    fn = click.option("--format", "output_format",
-                      type=click.Choice(["json", "csv"]), default=None)(fn)
-    return fn
-
-
-def _dispatch(mode, config, preset, seed, scale, out, output_format):
-    try:
-        scenario = _load(config, preset, mode, seed, scale, output_format)
-        # checked before the run, so a long simulation is not lost at the end
-        if out is not None and not Path(out).parent.is_dir():
-            raise ValidationError(f"output directory does not exist: {Path(out).parent}")
-        code, payload = run(scenario)
-    except (ValidationError, DomainError) as exc:
-        # a DomainError here comes from configured inputs (the analytic ones)
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    _emit(code, payload, out, scenario.output_format)
-
-
 @click.group()
 def main():
     """Simulator and finite-size security calculator for
     measurement-device-independent quantum digital signatures."""
 
 
-@main.command()
-@_common_options
-def analytic(config, preset, seed, scale, out, output_format):
-    """Replay the security pipeline from configured inputs."""
-    _dispatch("analytic", config, preset, seed, scale, out, output_format)
-
-
-@main.command()
-@_common_options
-def simulate(config, preset, seed, scale, out, output_format):
-    """Monte-Carlo key generation at a scaled pulse budget."""
-    _dispatch("montecarlo", config, preset, seed, scale, out, output_format)
-
-
-@main.command()
-@_common_options
-def protocol(config, preset, seed, scale, out, output_format):
-    """Signing-protocol trial batteries against the analytic bounds."""
-    _dispatch("protocol", config, preset, seed, scale, out, output_format)
-
-
-@main.command()
-@_common_options
-def tables(config, preset, seed, scale, out, output_format):
-    """Replay the published raw-key-generation-time rows."""
-    _dispatch("table-sweep", config, preset, seed, scale, out, output_format)
+for _name, (_mode, _help) in COMMANDS.items():
+    main.add_command(click.Command(_name, callback=functools.partial(_run, _mode),
+                                   params=list(OPTIONS), help=_help))
 
 
 if __name__ == "__main__":

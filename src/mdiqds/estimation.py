@@ -34,6 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linprog
 
+from . import presets
 from .entropy import chernoff_delta, mu_parameter, serfling_lambda, upsilon
 from .errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from .session import SiftedData
@@ -328,15 +329,19 @@ def _hypergeometric(good: int, bad: int, draws: int, rng: np.random.Generator) -
 
     Beyond numpy's limit the population is split into two halves: how many
     draws land in the first half is itself hypergeometric, and each half is
-    then sampled on its own, so the draw stays exact up to 2e9 items.
+    then sampled on its own, so the draw stays exact up to 2e9 items.  A
+    larger population raises DomainError.
     """
     if good < _HYPERGEOMETRIC_LIMIT and bad < _HYPERGEOMETRIC_LIMIT:
         return int(rng.hypergeometric(good, bad, draws))
     good_1, bad_1 = good // 2, bad // 2
-    first = int(rng.hypergeometric(good_1 + bad_1, good - good_1 + bad - bad_1, draws))
-    return _hypergeometric(good_1, bad_1, first, rng) + _hypergeometric(
-        good - good_1, bad - bad_1, draws - first, rng
-    )
+    good_2, bad_2 = good - good_1, bad - bad_1
+    if good_2 + bad_2 >= _HYPERGEOMETRIC_LIMIT:
+        raise DomainError(f"sampling without replacement is exact below ~2e9 items, "
+                          f"got {good + bad}")
+    first = int(rng.hypergeometric(good_1 + bad_1, good_2 + bad_2, draws))
+    return (int(rng.hypergeometric(good_1, bad_1, first))
+            + int(rng.hypergeometric(good_2, bad_2, draws - first)))
 
 
 def observed_error_rate(size: int, errors: int, r_k: int, rng: np.random.Generator) -> float:
@@ -361,23 +366,26 @@ def true_error_upper_bound(e_obs: float, n_half: int, r_k: int, eps_pe: float) -
 
 @dataclass
 class YieldEstimate:
-    """Everything the security bounds need from one Bell state's data."""
+    """Everything the security bounds need from one Bell state's data.
+
+    The defaults describe a Bell state of which nothing was estimated.
+    """
 
     bell: int
-    n_k: int
-    r_k: int
-    e_obs: float
-    e_upper: float
-    m_k0: float
-    m_k1: float
-    n_k0: int
-    n_k1: int
-    e_k1: float
-    n_bar_k1: float
-    e_bar_k1: float
-    validity_ok: bool
-    usable: bool
     budget: ErrorBudget
+    n_k: int = 0
+    r_k: int = 0
+    e_obs: float = 0.0
+    e_upper: float = 1.0
+    m_k0: float = 0.0
+    m_k1: float = 0.0
+    n_k0: int = 0
+    n_k1: int = 0
+    e_k1: float = 1.0
+    n_bar_k1: float = 0.0
+    e_bar_k1: float = 0.0
+    validity_ok: bool = False
+    usable: bool = False
     abort_reason: str | None = None
 
     @property
@@ -427,7 +435,7 @@ def estimate_yields(
     config_a: DecoySourceConfig,
     config_b: DecoySourceConfig,
     budget: ErrorBudget,
-    r_fraction: float = 0.055,
+    r_fraction: float = presets.DEFAULT_R_FRACTION,
     seed: int = 0,
 ) -> EstimationResult:
     """Run the estimation chain for both announced Bell states.
@@ -449,13 +457,7 @@ def estimate_yields(
     solved: list[tuple[tuple[np.ndarray, ...], YieldEstimate]] = []
     for bell in (0, 1):
         size = int(sifted.z_counts[bell, 0, 0])
-        est = YieldEstimate(
-            bell=bell, n_k=0, r_k=0, e_obs=0.0, e_upper=1.0,
-            m_k0=0.0, m_k1=0.0, n_k0=0, n_k1=0, e_k1=1.0,
-            n_bar_k1=0.0, e_bar_k1=0.0, validity_ok=False, usable=False,
-            budget=budget,
-        )
-        estimates[bell] = est
+        est = estimates[bell] = YieldEstimate(bell=bell, budget=budget)
         split = split_signal_set(size, r_fraction)
         if split is None:
             est.abort_reason = f"signal-signal Z set too small ({size})"

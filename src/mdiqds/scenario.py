@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import presets, protocol
@@ -20,7 +20,9 @@ from .security import build_security_report, choose_thresholds, repudiation_boun
 from .session import ChannelTables, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
-MODES = ("analytic", "montecarlo", "protocol", "table-sweep")
+# run mode -> whether it draws random numbers, and so needs a seed; mode m
+# runs run_m (with "-" read as "_"), looked up when run() is called
+MODES = {"analytic": False, "montecarlo": True, "protocol": True, "table-sweep": False}
 FORMATS = ("json", "csv")
 
 EXIT_OK = 0
@@ -37,7 +39,6 @@ class Scenario:
     profile: SystemProfile
     budget: ErrorBudget
     mode: str = "analytic"
-    target_security: float = 1e-4
     seed: int | None = None
     output_format: str = "json"
     scale_factor: float = 1.0
@@ -48,20 +49,19 @@ class Scenario:
     protocol_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        modes = tuple(MODES)  # a tuple, so an unhashable mode is rejected too
+        if self.mode not in modes:
+            raise ValidationError(f"mode must be one of {modes}, got {self.mode!r}")
         if self.output_format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}")
         if self.output_format == "csv" and self.mode != "table-sweep":
             raise ValidationError("format csv is only available for the table sweep")
         if self.scale_factor < 1:
             raise ValidationError("scale_factor must be >= 1")
-        if self.mode in ("montecarlo", "protocol") and self.seed is None:
+        if MODES[self.mode] and self.seed is None:
             raise ValidationError(f"{self.mode} mode requires a seed")
         if self.seed is not None and not (self.seed >= 0 and self.seed == int(self.seed)):
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0.0 < self.target_security <= 1.0:
-            raise ValidationError("target_security must lie in (0,1]")
         if not 0.0 < self.r_fraction < 1.0:
             raise ValidationError("r_fraction must lie in (0,1)")
         if not 1.0 <= self.zeta <= 2.0:
@@ -73,8 +73,7 @@ class Scenario:
 # scenario-file key -> Scenario field, for the fields taken as they are given
 _SCENARIO_FIELDS = {
     "mode": "mode", "seed": "seed", "format": "output_format", "scale_factor": "scale_factor",
-    "target_security": "target_security", "r_fraction": "r_fraction", "zeta": "zeta",
-    "n_sig": "n_sig",
+    "r_fraction": "r_fraction", "zeta": "zeta", "n_sig": "n_sig",
 }
 
 # worked-example parameters for the analytic replay
@@ -94,6 +93,7 @@ _PROTOCOL_DEFAULTS = {
     "honest_error": 0.05,
     "trials": 10_000,
 }
+_MAX_TRIALS = 10**7
 
 
 def _numbers(payload, where: str, keys=None) -> dict:
@@ -128,47 +128,35 @@ def _build_protocol(payload: dict) -> dict:
                                   f"got {params[key]!r}")
     if params["length"] % 2 == 1:
         raise ValidationError(f"protocol length must be even, got {params['length']!r}")
+    # each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials
+    if params["trials"] > _MAX_TRIALS:
+        raise ValidationError(f"protocol trials must be at most {_MAX_TRIALS}, "
+                              f"got {params['trials']!r}")
     for key in ("honest_error", "e_bar", "p_e"):
         if not 0.0 <= params[key] <= 1.0:
             raise ValidationError(f"protocol {key} must lie in [0,1], got {params[key]!r}")
+    if not params["e_bar"] < params["p_e"]:
+        raise ValidationError("protocol scenario needs e_bar < p_e")
     return params
 
 
 def _build_source(payload: dict) -> DecoySourceConfig:
-    merged = {
-        "intensities": dict(presets.DEFAULT_INTENSITIES),
-        "intensity_probs": dict(presets.DEFAULT_INTENSITY_PROBS),
-        "basis_probs": dict(presets.DEFAULT_BASIS_PROBS),
-        "pulse_rate": presets.DEFAULT_PULSE_RATE,
-    }
+    """The default source with the fields that ``payload`` names replaced; a
+    dict field is merged key by key."""
+    merged = asdict(presets.default_source_config())
     for key, value in _known(_numbers(payload, "source", {"pulse_rate"}), merged,
                              "source").items():
         if isinstance(merged[key], dict):
-            merged[key] = {**merged[key], **_numbers(value, key)}
-        else:
-            merged[key] = value
+            value = {**merged[key], **_numbers(value, key)}
+        merged[key] = value
     return DecoySourceConfig(**merged)
 
 
-def _build_profile(payload: dict, preset: str | None) -> SystemProfile:
-    base = presets.profile_for_preset(preset or "standard")
-    merged = {
-        "distance_km": base.distance_km,
-        "loss_coeff_db_per_km": base.loss_coeff_db_per_km,
-        "detector_efficiency": base.detector_efficiency,
-        "dark_count_prob": base.dark_count_prob,
-        "misalignment": base.misalignment,
-    }
-    merged.update(_known(_numbers(payload, "profile"), merged, "profile"))
-    return SystemProfile(**merged)
-
-
-def _build_budget(payload: dict) -> ErrorBudget:
-    _known(_numbers(payload, "budget"), {f.name for f in fields(ErrorBudget)}, "budget")
-    try:
-        return ErrorBudget(**payload)
-    except DomainError as exc:
-        raise ValidationError(str(exc)) from exc
+def _override(base, payload: dict, where: str):
+    """``base`` with the fields that ``payload`` names replaced, once every
+    key is a field and every value a finite number."""
+    known = {f.name for f in fields(base)}
+    return replace(base, **_known(_numbers(payload, where), known, where))
 
 
 def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
@@ -180,7 +168,7 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
         "source", "source_a", "source_b", "profile", "budget", "preset", "analytic", "protocol",
     }, "scenario")
     _numbers({k: v for k, v in raw.items() if v is not None}, "scenario",
-             {"seed", "scale_factor", "target_security", "r_fraction", "zeta", "n_sig"})
+             {"seed", "scale_factor", "r_fraction", "zeta", "n_sig"})
     preset = raw.get("preset", preset)
     shared = _numbers(raw.get("source", {}), "source", ())
     source_a = _build_source({**shared, **_numbers(raw.get("source_a", {}), "source_a", ())})
@@ -189,8 +177,9 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
         return Scenario(
             source_a=source_a,
             source_b=source_b,
-            profile=_build_profile(raw.get("profile", {}), preset),
-            budget=_build_budget(raw.get("budget", {})),
+            profile=_override(presets.profile_for_preset(preset or "standard"),
+                              raw.get("profile", {}), "profile"),
+            budget=_override(ErrorBudget(), raw.get("budget", {}), "budget"),
             **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
             analytic={**_ANALYTIC_DEFAULTS, **_known(
                 _numbers(raw.get("analytic", {}), "analytic"), _ANALYTIC_KEYS, "analytic")},
@@ -242,22 +231,16 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
         e_k1 = 0.0
     est = YieldEstimate(
         bell=0,
+        budget=budget,
         n_k=n_k,
         r_k=r_k,
         e_obs=float(params["e_obs"]),
-        e_upper=true_error_upper_bound(
-            float(params["e_obs"]), n_half, r_k, budget.eps_pe
-        ),
-        m_k0=0.0,
-        m_k1=0.0,
+        e_upper=true_error_upper_bound(float(params["e_obs"]), n_half, r_k, budget.eps_pe),
         n_k0=n_k0,
         n_k1=n_k1,
         e_k1=e_k1,
-        n_bar_k1=0.0,
-        e_bar_k1=0.0,
         validity_ok=True,
         usable=True,
-        budget=budget,
     )
     per_kgp = {
         "alice_bob": (est, n_k + r_k),
@@ -267,7 +250,7 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
         per_kgp, budget, n_sig=scenario.n_sig,
         pulse_rate=scenario.source_b.pulse_rate, zeta=scenario.zeta,
     )
-    payload = {"mode": "analytic", "security": report.to_dict()}
+    payload = {"mode": scenario.mode, "security": report.to_dict()}
     return (EXIT_OK if report.feasible else EXIT_INFEASIBLE), payload
 
 
@@ -281,7 +264,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
     sessions = {}
 
     def infeasible(reason: str) -> tuple[int, dict]:
-        return EXIT_INFEASIBLE, {"mode": "montecarlo", "sessions": sessions,
+        return EXIT_INFEASIBLE, {"mode": scenario.mode, "sessions": sessions,
                                  "yield_estimates": details, "security": None,
                                  "infeasible_reason": reason}
 
@@ -318,7 +301,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
     except DegenerateSessionError as exc:
         return infeasible(str(exc))
     payload = {
-        "mode": "montecarlo",
+        "mode": scenario.mode,
         "scale_factor": scenario.scale_factor,
         "sessions": sessions,
         "yield_estimates": details,
@@ -331,11 +314,7 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     """Monte-Carlo protocol trials against the analytic bounds."""
     params = scenario.protocol_params
     length = int(params["length"])
-    e_bar = float(params["e_bar"])
-    p_e = float(params["p_e"])
-    if not e_bar < p_e:
-        raise ValidationError("protocol scenario needs e_bar < p_e")
-    s_a, s_v = choose_thresholds(e_bar, p_e)
+    s_a, s_v = choose_thresholds(float(params["e_bar"]), float(params["p_e"]))
     trials = int(params["trials"])
     honest_error = float(params["honest_error"])
     seed = int(scenario.seed)
@@ -369,7 +348,7 @@ def run_protocol(scenario: Scenario) -> tuple[int, dict]:
         "forging": entry(forge_rate, forge_bound),
     }
     payload = {
-        "mode": "protocol",
+        "mode": scenario.mode,
         "length": length,
         "s_a": s_a,
         "s_v": s_v,
@@ -406,7 +385,7 @@ def run_table_sweep(scenario: Scenario) -> tuple[int, dict]:
                     "matches_printed": ok,
                 }
             )
-    return (EXIT_OK if all_ok else EXIT_INFEASIBLE), {"mode": "table-sweep", "rows": rows}
+    return (EXIT_OK if all_ok else EXIT_INFEASIBLE), {"mode": scenario.mode, "rows": rows}
 
 
 def table_rows_to_csv(rows: list[dict]) -> str:
@@ -422,12 +401,7 @@ def table_rows_to_csv(rows: list[dict]) -> str:
 
 def run(scenario: Scenario) -> tuple[int, dict]:
     """Dispatch one scenario; returns (exit_code, report payload)."""
-    runner = {
-        "analytic": run_analytic,
-        "montecarlo": run_montecarlo,
-        "protocol": run_protocol,
-        "table-sweep": run_table_sweep,
-    }[scenario.mode]
+    runner = globals()["run_" + scenario.mode.replace("-", "_")]
     try:
         return runner(scenario)
     except InfeasibleBoundsError as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import presets
 from .entropy import (
     binary_entropy,
     binomial_tail_log2,
@@ -184,7 +185,7 @@ class SecurityReport:
     pr_forge: float = 1.0
     l_k: float = 0.0
     l_k_asymptotic: float = 0.0
-    zeta: float = 1.16
+    zeta: float = presets.DEFAULT_ZETA
     validity_ok: bool = True
     per_bell: dict = field(default_factory=dict)
     infeasible_reason: str | None = None
@@ -223,7 +224,7 @@ def build_security_report(
     budget: ErrorBudget,
     n_sig: float,
     pulse_rate: float,
-    zeta: float = 1.16,
+    zeta: float = presets.DEFAULT_ZETA,
     per_bell_details: dict | None = None,
 ) -> SecurityReport:
     """Combine the two key-generation sessions into protocol security bounds.
@@ -357,9 +358,9 @@ def signature_length_search(
     profile: SystemProfile,
     budget: ErrorBudget,
     target_security: float,
-    pulse_rate: float = 1e9,
-    zeta: float = 1.16,
-    r_fraction: float = 0.055,
+    pulse_rate: float = presets.DEFAULT_PULSE_RATE,
+    zeta: float = presets.DEFAULT_ZETA,
+    r_fraction: float = presets.DEFAULT_R_FRACTION,
     relative_tolerance: float = 0.05,
     tables: ChannelTables | None = None,
 ) -> SearchResult:

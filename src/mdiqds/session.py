@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .relay import relay_table
 from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig, SystemProfile
 
@@ -199,7 +200,10 @@ def run_kgp_session(tables: ChannelTables, n_pulses: int, seed: int) -> SiftedDa
     The whole tally is one multinomial draw over the cells of
     `RateTable.cell_probs` and a "not recorded" cell, which also takes the
     residual mass below the rate floor.  Deterministic for a fixed seed.
+    numpy draws fewer than 2^63 pulses; a larger budget raises DomainError.
     """
+    if n_pulses >= 2**63:
+        raise DomainError(f"a session draws fewer than 2^63 pulses, got {n_pulses}")
     probs = tables.expected_rates().cell_probs
     flat = probs.ravel()
     rng = _session_rng(seed)

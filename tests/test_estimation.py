@@ -378,6 +378,14 @@ class TestObservedErrorRate:
         with pytest.raises(DegenerateSessionError):
             observed_error_rate(5, 0, 5, np.random.default_rng(0))
 
+    def test_split_limit(self):
+        # one split is exact while each half holds fewer than the limit
+        limit = estimation._HYPERGEOMETRIC_LIMIT
+        rng = np.random.default_rng(0)
+        assert 0 <= estimation._hypergeometric(limit, limit - 2, 1000, rng) <= 1000
+        with pytest.raises(DomainError, match="2e9 items"):
+            estimation._hypergeometric(limit, limit - 1, 1000, rng)
+
 
 class TestTrueErrorUpperBound:
     def test_worked_example(self):

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -52,6 +53,11 @@ class TestScenarioLoading:
             scenario_from_dict({"mode": "analytic", "detector": "snspd"})
         with pytest.raises(ValidationError, match="unknown profile field"):
             scenario_from_dict({"mode": "analytic", "profile": {"eta": 0.5}})
+
+    @pytest.mark.parametrize("mode", ["sweep", ["analytic"]])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValidationError, match="mode must be one of"):
+            scenario_from_dict({"mode": mode})
 
     def test_seed_required_for_stochastic_modes(self):
         with pytest.raises(ValidationError, match="requires a seed"):
@@ -205,6 +211,8 @@ class TestCli:
             {"protocol": {"lenght": 4000}},
             {"protocol": {"trails": 5}},
             {"analytic": {"n_kk": 1}},
+            {"protocol": {"e_bar": 0.4, "p_e": 0.3}},
+            {"target_security": 1e-4},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
@@ -240,6 +248,35 @@ class TestCli:
         bound = json.loads(result.output)["checks"]["forging"]["bound"]
         assert 0.0 < bound < 1e-100
 
+    def test_protocol_trials_cap(self, tmp_path):
+        # rejected with the config, before any battery allocates its arrays
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"protocol": {"trials": 1e12}}))
+        tracemalloc.start()
+        try:
+            result = CliRunner().invoke(main, ["protocol", "--seed", "3", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 3, result.output
+        assert "validation error" in result.output and "trials" in result.output
+        assert peak < 4e6, f"protocol run peaked at {peak / 1e6:.1f} MB"
+        scenario_from_dict({"mode": "protocol", "seed": 1, "protocol": {"trials": 10**7}})
+        with pytest.raises(ValidationError, match="trials must be at most"):
+            scenario_from_dict({"mode": "protocol", "seed": 1,
+                                "protocol": {"trials": 10**7 + 1}})
+
+    @pytest.mark.parametrize("n_sig, limit", [(1e16, "2e9 items"), (1e19, "2^63 pulses")])
+    def test_simulate_past_sampler_limits(self, tmp_path, n_sig, limit):
+        # 1e16 pulses give a signal-signal Z set beyond the exact error draw;
+        # 1e19 pulses do not fit the session draw's int64 count
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n_sig": n_sig, "seed": 1}))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("validation error: ")
+        assert limit in result.output
+
     def test_simulate_infeasible_exit_code(self):
         runner = CliRunner()
         result = runner.invoke(
@@ -271,3 +308,44 @@ class TestCli:
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload["security"]["s_a"] == pytest.approx(0.0260, abs=5e-4)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_matches(got, want, where="report"):
+    """Floats equal to rel 1e-12, everything else exactly."""
+    if type(want) is float:
+        assert type(got) is float and got == pytest.approx(want, rel=1e-12), where
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for index, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{index}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+class TestReadmeOutputs:
+    """The README's deterministic commands against their stored stdout."""
+
+    def test_analytic(self):
+        result = CliRunner().invoke(main, ["analytic"])
+        assert result.exit_code == EXIT_OK, result.output
+        want = json.loads((GOLDEN / "analytic.json").read_text())
+        _assert_matches(json.loads(result.output), want)
+
+    def test_tables_csv(self):
+        result = CliRunner().invoke(main, ["tables", "--format", "csv"])
+        assert result.exit_code == EXIT_OK, result.output
+
+        def rows(text):
+            # the security and detector labels as text, the rest as numbers
+            header, *lines = text.splitlines()
+            fields = [line.split(",") for line in lines]
+            return [header, *([label, name, *map(float, rest)] for label, name, *rest in fields)]
+
+        _assert_matches(rows(result.output), rows((GOLDEN / "tables.csv").read_text()))

@@ -47,20 +47,15 @@ def replay_estimate(n_k=8_900_000, r_k=518_000, e_obs=0.0207, h_target=8.69e5):
     n_half = n_k // 2
     return YieldEstimate(
         bell=0,
+        budget=BUDGET,
         n_k=n_k,
         r_k=r_k,
         e_obs=e_obs,
         e_upper=true_error_upper_bound(e_obs, n_half, r_k, BUDGET.eps_pe),
-        m_k0=0.0,
-        m_k1=0.0,
         n_k0=round(h_target),
-        n_k1=0,
         e_k1=0.0,
-        n_bar_k1=0.0,
-        e_bar_k1=0.0,
         validity_ok=True,
         usable=True,
-        budget=BUDGET,
     )
 
 
