@@ -400,14 +400,27 @@ class YieldEstimate:
 
 @dataclass
 class EstimationResult:
-    estimates: dict[int, YieldEstimate]
+    """One link's estimates: per Bell state, its YieldEstimate and the size
+    |Z_ss| of its signal-signal Z set, which the code string is drawn from."""
 
-    def best_bell(self) -> int:
-        """The Bell state whose code string has the smallest phase error."""
-        usable = {b: est for b, est in self.estimates.items() if est.usable}
+    estimates: dict[int, YieldEstimate]
+    z_sizes: dict[int, int]
+
+    @property
+    def usable(self) -> bool:
+        return any(est.usable for est in self.estimates.values())
+
+    def selected(self) -> tuple[YieldEstimate, int]:
+        """(estimate, |Z_ss|) of the usable Bell state whose code string has
+        the smallest phase error."""
+        usable = [est for est in self.estimates.values() if est.usable]
         if not usable:
             raise DegenerateSessionError("no Bell state produced a usable bound")
-        return min(usable, key=lambda b: usable[b].e_k1)
+        est = min(usable, key=lambda est: est.e_k1)
+        return est, self.z_sizes[est.bell]
+
+    def to_dict(self) -> dict:
+        return {str(bell): est.to_dict() for bell, est in self.estimates.items()}
 
 
 def _estimate_rng(seed: int) -> np.random.Generator:
@@ -453,11 +466,11 @@ def estimate_yields(
     }
     vacuum, single = vacuum_objective(pop), single_pair_objective(pop)
     rng = _estimate_rng(seed)
-    estimates: dict[int, YieldEstimate] = {}
+    result = EstimationResult(estimates={}, z_sizes={})
     solved: list[tuple[tuple[np.ndarray, ...], YieldEstimate]] = []
     for bell in (0, 1):
-        size = int(sifted.z_counts[bell, 0, 0])
-        est = estimates[bell] = YieldEstimate(bell=bell, budget=budget)
+        size = result.z_sizes[bell] = int(sifted.z_counts[bell, 0, 0])
+        est = result.estimates[bell] = YieldEstimate(bell=bell, budget=budget)
         split = split_signal_set(size, r_fraction)
         if split is None:
             est.abort_reason = f"signal-signal Z set too small ({size})"
@@ -498,4 +511,4 @@ def estimate_yields(
             est.e_k1 = 1.0
             continue
         est.usable = True
-    return EstimationResult(estimates=estimates)
+    return result

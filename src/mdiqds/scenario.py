@@ -16,7 +16,8 @@ from .errors import (
     ValidationError,
 )
 from .estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
-from .security import build_security_report, choose_thresholds, repudiation_bound
+from .security import (LINKS, build_security_report, choose_thresholds, link_report,
+                       repudiation_bound)
 from .session import ChannelTables, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
 
@@ -242,12 +243,8 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
         validity_ok=True,
         usable=True,
     )
-    per_kgp = {
-        "alice_bob": (est, n_k + r_k),
-        "alice_charlie": (est, n_k + r_k),
-    }
     report = build_security_report(
-        per_kgp, budget, n_sig=scenario.n_sig,
+        dict.fromkeys(LINKS, (est, n_k + r_k)), budget, n_sig=scenario.n_sig,
         pulse_rate=scenario.source_b.pulse_rate, zeta=scenario.zeta,
     )
     payload = {"mode": scenario.mode, "security": report.to_dict()}
@@ -255,27 +252,21 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
 
 
 def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
-    """Simulate both key-generation links at the scaled budget and push the
-    sifted data through the estimation and security chain."""
+    """Simulate the key-generation links at the scaled budget and push the
+    sifted data through the estimation and security chain, up to the first
+    link that has no usable Bell state."""
     pulses = max(int(scenario.n_sig / scenario.scale_factor), 1)
     tables = ChannelTables(scenario.source_a, scenario.source_b, scenario.profile)
-    per_kgp = {}
-    details = {}
+    results = {}
     sessions = {}
-
-    def infeasible(reason: str) -> tuple[int, dict]:
-        return EXIT_INFEASIBLE, {"mode": scenario.mode, "sessions": sessions,
-                                 "yield_estimates": details, "security": None,
-                                 "infeasible_reason": reason}
-
-    for index, name in enumerate(("alice_bob", "alice_charlie")):
+    for index, name in enumerate(LINKS):
         sifted = run_kgp_session(tables, pulses, seed=int(scenario.seed) + index)
         sessions[name] = {
             "n_pulses": sifted.n_pulses,
             "z_set_sizes": sifted.z_counts.tolist(),
             "x_set_sizes": sifted.x_counts.tolist(),
         }
-        result = estimate_yields(
+        results[name] = estimate_yields(
             sifted,
             scenario.source_a,
             scenario.source_b,
@@ -283,23 +274,16 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
             r_fraction=scenario.r_fraction,
             seed=int(scenario.seed) + index,
         )
-        details[name] = {str(b): e.to_dict() for b, e in result.estimates.items()}
-        try:
-            bell = result.best_bell()
-        except DegenerateSessionError as exc:
-            return infeasible(f"{name}: {exc}")
-        per_kgp[name] = (result.estimates[bell], int(sifted.z_counts[bell, 0, 0]))
+        if not results[name].usable:
+            break  # link_report names this link; the next session is not drawn
+    details = {name: result.to_dict() for name, result in results.items()}
     try:
-        report = build_security_report(
-            per_kgp,
-            scenario.budget,
-            n_sig=float(pulses),
-            pulse_rate=scenario.source_b.pulse_rate,
-            zeta=scenario.zeta,
-            per_bell_details=details,
-        )
+        report = link_report(results, scenario.budget, n_sig=float(pulses),
+                             pulse_rate=scenario.source_b.pulse_rate, zeta=scenario.zeta)
     except DegenerateSessionError as exc:
-        return infeasible(str(exc))
+        return EXIT_INFEASIBLE, {"mode": scenario.mode, "sessions": sessions,
+                                 "yield_estimates": details, "security": None,
+                                 "infeasible_reason": str(exc)}
     payload = {
         "mode": scenario.mode,
         "scale_factor": scenario.scale_factor,

@@ -24,6 +24,7 @@ from .entropy import (
 from .errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from .estimation import (
     ErrorBudget,
+    EstimationResult,
     YieldEstimate,
     estimate_yields,
     serfling_scale,
@@ -31,6 +32,9 @@ from .estimation import (
 )
 from .session import ChannelTables, expected_sifted_data
 from .sources import DecoySourceConfig, SystemProfile
+
+# the two key-generation links a signature rests on, each through its own relay
+LINKS = ("alice_bob", "alice_charlie")
 
 # correctness and privacy-amplification failure probabilities of the full key
 # distillation that mdi_qkd_key_length compares against
@@ -53,14 +57,13 @@ def min_entropy_bound(
 
 def forging_tail(
     n_k: int, r: float, h_min: float, eps_k: float, g: float
-) -> tuple[float, float, bool]:
+) -> tuple[float, float]:
     """Probability budget for an adversary guessing the unknown half-key.
 
     The average probability of making at most r mistakes is bounded by
     T(r) * 2^(-h_min) + eps_k where T(r) sums the binomial coefficients; by
     Markov the realized probability stays below g except with probability
-    p_F = (T(r) * 2^(-h_min) + eps_k) / g.  Returns
-    (p_F, log2(p_F), used_exact_sum).
+    p_F = (T(r) * 2^(-h_min) + eps_k) / g.  Returns (p_F, log2(p_F)).
 
     The exact sum is used for n_k <= 10^4; above that the entropy exponent
     (n_k/2) * h(2r/n_k) stands in for log2 T(r).
@@ -73,7 +76,7 @@ def forging_tail(
     tail = binomial_tail_log2(n_half, max(math.ceil(r) - 1, 0))
     log2_avg = tail.log2_value - h_min
     log2_p_f = log2addexp(log2_avg, math.log2(eps_k)) - math.log2(g)
-    return 2.0 ** min(log2_p_f, 64.0), log2_p_f, not tail.is_bound
+    return 2.0 ** min(log2_p_f, 64.0), log2_p_f
 
 
 def solve_p_e(c_k0: float, c_k1: float, e_k1: float) -> tuple[float, bool]:
@@ -225,7 +228,6 @@ def build_security_report(
     n_sig: float,
     pulse_rate: float,
     zeta: float = presets.DEFAULT_ZETA,
-    per_bell_details: dict | None = None,
 ) -> SecurityReport:
     """Combine the two key-generation sessions into protocol security bounds.
 
@@ -249,12 +251,8 @@ def build_security_report(
         N_sig=n_sig,
         pulse_rate=pulse_rate,
         zeta=zeta,
-        per_bell=per_bell_details or {},
     )
-    e_bars = {}
-    p_es = {}
-    entropies = {}
-    rates = {}
+    links = []  # (p_E, E_bar, n_k0, n_k1, e_k1) of each session
     for name, (est, z_size) in per_kgp.items():
         if n_half == est.n_half:
             n_k0, n_k1 = est.n_k0, est.n_k1
@@ -262,25 +260,19 @@ def build_security_report(
             # the common code string is shorter than this session's; rescale
             n_k0 = serfling_scale(est.m_k0, z_size, n_half, budget.eps_k0_serfling)
             n_k1 = serfling_scale(est.m_k1, z_size, n_half, budget.eps_k1_serfling)
-        c_k0 = 2.0 * n_k0 / n_k
-        c_k1 = 2.0 * n_k1 / n_k
-        e_bars[name] = est.e_upper
-        p_e, clamped = solve_p_e(c_k0, c_k1, est.e_k1)
-        p_es[name] = p_e
+        p_e, clamped = solve_p_e(2.0 * n_k0 / n_k, 2.0 * n_k1 / n_k, est.e_k1)
         report.p_E_clamped |= clamped
-        entropies[name] = min_entropy_bound(
-            n_k0, n_k1, est.e_k1, budget.eps_k_prime, budget.eps_k_hat
-        )
-        rates[name] = (n_k0, n_k1, est.e_k1)
+        links.append((p_e, est.e_upper, n_k0, n_k1, est.e_k1))
         report.bell[name] = est.bell
         report.validity_ok &= est.validity_ok
 
-    report.E_bar = max(e_bars.values())
-    weakest = min(p_es, key=p_es.get)
-    report.p_E = p_es[weakest]
-    n_k0, n_k1, e_k1 = rates[weakest]
+    report.E_bar = max(link[1] for link in links)
+    # the session with the lowest adversarial floor sets every entropy term
+    report.p_E, _, n_k0, n_k1, e_k1 = min(links, key=lambda link: link[0])
     report.e_k1 = e_k1
-    report.h_min, report.h_min_approx = entropies[weakest]
+    report.h_min, report.h_min_approx = min_entropy_bound(
+        n_k0, n_k1, e_k1, budget.eps_k_prime, budget.eps_k_hat
+    )
     report.c_k0 = 2.0 * n_k0 / n_k
     report.c_k1 = 2.0 * n_k1 / n_k
     report.c_k0_sifted = n_k0 / n_k
@@ -295,7 +287,7 @@ def build_security_report(
         report.check_invariants()
         return report
 
-    p_f, log2_p_f, _ = forging_tail(
+    p_f, log2_p_f = forging_tail(
         n_k, report.s_v * n_half, report.h_min, budget.eps_k, budget.g
     )
     report.p_F = p_f
@@ -317,6 +309,28 @@ def build_security_report(
     return report
 
 
+def link_report(
+    results: dict[str, EstimationResult],
+    budget: ErrorBudget,
+    n_sig: float,
+    pulse_rate: float,
+    zeta: float = presets.DEFAULT_ZETA,
+) -> SecurityReport:
+    """The security report of the links' estimates: each link's selected
+    Bell state, and every link's per-Bell estimates in ``per_bell``.  Raises
+    DegenerateSessionError, prefixed with the link's name, at the first link
+    that has no usable Bell state."""
+    per_kgp = {}
+    for name, result in results.items():
+        try:
+            per_kgp[name] = result.selected()
+        except DegenerateSessionError as exc:
+            raise DegenerateSessionError(f"{name}: {exc}") from exc
+    report = build_security_report(per_kgp, budget, n_sig, pulse_rate, zeta)
+    report.per_bell = {name: result.to_dict() for name, result in results.items()}
+    return report
+
+
 @dataclass
 class SearchResult:
     n_sig: float
@@ -325,29 +339,20 @@ class SearchResult:
 
 def _evaluate_budget(
     tables: ChannelTables,
-    config_a: DecoySourceConfig,
-    config_b: DecoySourceConfig,
     n_sig: float,
     budget: ErrorBudget,
     zeta: float,
     r_fraction: float,
     pulse_rate: float,
 ) -> SecurityReport | None:
-    rates = tables.expected_rates()
-    sifted = expected_sifted_data(rates, n_sig)
-    result = estimate_yields(sifted, config_a, config_b, budget, r_fraction=r_fraction, seed=0)
+    """The report of the expected session at ``n_sig`` pulses, standing for
+    both links; None when it has no usable Bell state."""
+    sifted = expected_sifted_data(tables.expected_rates(), n_sig)
+    result = estimate_yields(
+        sifted, tables.config_a, tables.config_b, budget, r_fraction=r_fraction, seed=0
+    )
     try:
-        bell = result.best_bell()
-    except DegenerateSessionError:
-        return None
-    est = result.estimates[bell]
-    z_size = int(sifted.z_counts[bell, 0, 0])
-    per_kgp = {"alice_bob": (est, z_size), "alice_charlie": (est, z_size)}
-    details = {"alice_bob": {b: e.to_dict() for b, e in result.estimates.items()}}
-    try:
-        return build_security_report(
-            per_kgp, budget, n_sig, pulse_rate, zeta, per_bell_details=details
-        )
+        return link_report(dict.fromkeys(LINKS, result), budget, n_sig, pulse_rate, zeta)
     except DegenerateSessionError:
         return None
 
@@ -367,7 +372,8 @@ def signature_length_search(
     """Smallest pulse budget meeting the security target on every bound.
 
     Uses the closed-form expected statistics and the full bound pipeline.
-    Both key-generation links are assumed symmetric.  A ×4 ladder from 1e6
+    Both key-generation links are assumed symmetric, so one expected estimate
+    stands for both links in ``link_report``.  A ×4 ladder from 1e6
     pulses brackets the budget and a geometric bisection narrows it to
     ``relative_tolerance``.  The ladder skips, without evaluating it, every
     budget whose code string is too short for the repudiation bound to meet
@@ -390,9 +396,7 @@ def signature_length_search(
         )
 
     def evaluate(n_sig: float) -> SecurityReport | None:
-        return _evaluate_budget(
-            tables, config_a, config_b, n_sig, budget, zeta, r_fraction, pulse_rate
-        )
+        return _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate)
 
     rates = tables.expected_rates()
 

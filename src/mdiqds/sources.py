@@ -70,9 +70,6 @@ class DecoySourceConfig:
         if self.pulse_rate <= 0:
             raise ValidationError("pulse_rate must be positive")
 
-    def intensity(self, label: str) -> float:
-        return self.intensities[label]
-
     def photon_pmf(self, label: str) -> np.ndarray:
         return truncated_poisson_pmf(self.intensities[label])
 
@@ -102,11 +99,6 @@ class SystemProfile:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0,1], got {value}")
 
-    @property
-    def half_link_km(self) -> float:
-        return self.distance_km / 2.0
-
-    def transmittance(self, distance_km: float | None = None) -> float:
-        """Per-photon survival probability over one half-link by default."""
-        d = self.half_link_km if distance_km is None else distance_km
-        return 10.0 ** (-self.loss_coeff_db_per_km * d / 10.0)
+    def transmittance(self) -> float:
+        """Per-photon survival probability over one half-link."""
+        return 10.0 ** (-self.loss_coeff_db_per_km * (self.distance_km / 2.0) / 10.0)

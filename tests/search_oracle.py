@@ -19,7 +19,7 @@ BUDGET_CAP = 2e13
 
 
 def plain_length_search(
-    config_a, config_b, budget, target_security, tables,
+    budget, target_security, tables,
     pulse_rate=1e9, zeta=1.16, r_fraction=0.055, relative_tolerance=0.05,
 ):
     """Returns (SearchResult, [(n_sig, report or None), ...] in the order
@@ -27,9 +27,7 @@ def plain_length_search(
     trajectory = []
 
     def meets(n_sig):
-        report = _evaluate_budget(
-            tables, config_a, config_b, n_sig, budget, zeta, r_fraction, pulse_rate
-        )
+        report = _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate)
         trajectory.append((n_sig, report))
         return report is not None and report.meets_target(target_security)
 

@@ -417,8 +417,8 @@ class TestEstimateYields:
         ).expected_rates()
         sd = expected_sifted_data(rt, 5.58e12)
         res = estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
-        bell = res.best_bell()
-        est = res.estimates[bell]
+        est, z_size = res.selected()
+        assert z_size == int(sd.z_counts[est.bell, 0, 0])
         assert est.usable
         assert est.n_k1 > 0
         assert 0.0 < est.e_k1 < 1.0
@@ -543,5 +543,6 @@ class TestEstimateYields:
         sd = make_sifted(np.zeros((2, 3, 3)))
         res = estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=1)
         assert not any(est.usable for est in res.estimates.values())
+        assert not res.usable
         with pytest.raises(DegenerateSessionError):
-            res.best_bell()
+            res.selected()

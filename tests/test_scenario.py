@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mdiqds import scenario as scenario_module
 from mdiqds.cli import main
 from mdiqds.errors import ValidationError
+from mdiqds.security import LINKS
 from mdiqds.scenario import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -17,6 +19,27 @@ from mdiqds.scenario import (
     run,
     scenario_from_dict,
 )
+
+# the short bright link of acceptance criterion 4 with its loose budget, as a
+# scenario; at scale 5e4 a session may or may not have a usable Bell state
+BRIGHT_LINK = {
+    "mode": "montecarlo",
+    "n_sig": 1.2e12,
+    "source": {
+        "intensities": {"s": 0.7, "d1": 0.25, "d2": 0.03},
+        "intensity_probs": {"s": 0.5, "d1": 0.25, "d2": 0.25},
+        "basis_probs": {"Z": 0.5, "X": 0.5},
+    },
+    "profile": {
+        "distance_km": 1.0, "loss_coeff_db_per_km": 0.2, "detector_efficiency": 0.93,
+        "dark_count_prob": 1e-6, "misalignment": 0.01,
+    },
+    "budget": {
+        "eps_set": 1e-3, "eps_set_hat": 1e-3, "eps_set_dot": 1e-3,
+        "eps_0": 1e-2, "eps_1": 1e-2, "eps_k0_serfling": 1e-2, "eps_k1_serfling": 1e-2,
+        "eps_ke_x1": 1e-2, "eps_ke_x2": 1e-2, "eps_ke_upsilon": 1e-2, "eps_cap": 1e-4,
+    },
+}
 
 
 class TestScenarioLoading:
@@ -116,6 +139,47 @@ class TestRunModes:
         assert code == EXIT_INFEASIBLE
         assert payload["sessions"]["alice_bob"]["n_pulses"] == int(5.58e12 / 1e6)
         assert payload["infeasible_reason"]
+
+    def test_montecarlo_stops_at_first_unusable_link(self, monkeypatch):
+        # at scale 1e6 the default link's sessions never have a usable Bell
+        # state, so the run ends before the second session is drawn
+        calls = {"run_kgp_session": 0, "estimate_yields": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(scenario_module, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scenario_module, name, spy)
+        code, payload = run(scenario_from_dict(
+            {"mode": "montecarlo", "seed": 7, "scale_factor": 1e6}
+        ))
+        assert code == EXIT_INFEASIBLE
+        assert calls == {"run_kgp_session": 1, "estimate_yields": 1}
+        assert payload["infeasible_reason"].startswith("alice_bob: ")
+        assert set(payload) == {
+            "mode", "sessions", "yield_estimates", "security", "infeasible_reason",
+        }
+        assert list(payload["sessions"]) == list(payload["yield_estimates"]) == ["alice_bob"]
+
+    def test_montecarlo_sessions_name_reached_links(self):
+        # whatever a seed's outcome, the report lists every link that was
+        # drawn, and only those: all of them once a report is built, or the
+        # links up to the first one without a usable Bell state
+        for seed in range(12):
+            code, payload = run(scenario_from_dict(
+                {**BRIGHT_LINK, "seed": seed, "scale_factor": 5e4}
+            ))
+            estimates = payload["yield_estimates"]
+            if payload["security"] is None:
+                assert code == EXIT_INFEASIBLE
+                failed = payload["infeasible_reason"].split(": ")[0]
+                reached = list(LINKS[:LINKS.index(failed) + 1])
+            else:
+                assert code in (EXIT_OK, EXIT_INFEASIBLE)
+                reached = list(LINKS)
+                assert payload["security"]["per_bell"] == estimates
+            assert list(payload["sessions"]) == list(estimates) == reached, seed
+            usable = [any(est["usable"] for est in estimates[link].values()) for link in reached]
+            assert usable == [True] * (len(reached) - 1) + [payload["security"] is not None]
 
     def test_montecarlo_crossed_frames_on_ideal_link(self):
         # fully crossed frames, no loss, no dark counts: relay entries that

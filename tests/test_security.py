@@ -7,13 +7,21 @@ import pytest
 
 from mdiqds.entropy import binary_entropy, binomial_tail_log2
 from mdiqds import presets, security
-from mdiqds.errors import DomainError, InfeasibleBoundsError
-from mdiqds.estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
+from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
+from mdiqds.estimation import (
+    ErrorBudget,
+    EstimationResult,
+    YieldEstimate,
+    estimate_yields,
+    true_error_upper_bound,
+)
 from mdiqds.security import (
+    LINKS,
     build_security_report,
     choose_thresholds,
     forging_tail,
     honest_abort_bound,
+    link_report,
     mdi_qkd_key_length,
     min_entropy_bound,
     repudiation_bound,
@@ -61,10 +69,7 @@ def replay_estimate(n_k=8_900_000, r_k=518_000, e_obs=0.0207, h_target=8.69e5):
 
 def replay_report(**kwargs):
     est = replay_estimate(**kwargs)
-    per_kgp = {
-        "alice_bob": (est, est.n_k + est.r_k),
-        "alice_charlie": (est, est.n_k + est.r_k),
-    }
+    per_kgp = dict.fromkeys(LINKS, (est, est.n_k + est.r_k))
     return build_security_report(per_kgp, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
 
 
@@ -96,14 +101,14 @@ class TestMinEntropy:
 
 class TestForgingTail:
     def test_epsilon_dominated(self):
-        p_f, _, _ = forging_tail(8_900_000, 0.028 * 4_450_000, 8.69e5, 1e-10, 1e-5)
+        p_f, _ = forging_tail(8_900_000, 0.028 * 4_450_000, 8.69e5, 1e-10, 1e-5)
         assert p_f == pytest.approx(1e-5, abs=1e-12)
 
     def test_small_case_bigint_oracle(self):
         n_k, r, h_min, eps_k, g = 20, 3, 10.0, 1e-10, 1e-5
-        p_f, _, used_exact = forging_tail(n_k, r, h_min, eps_k, g)
-        assert used_exact
-        # strict threshold: fewer than 3 mistakes means at most 2
+        p_f, _ = forging_tail(n_k, r, h_min, eps_k, g)
+        # strict threshold: fewer than 3 mistakes means at most 2, summed exactly
+        assert not binomial_tail_log2(n_k // 2, r - 1).is_bound
         tail = sum(math.comb(10, m) for m in range(3))
         expected = (tail * 2.0**-h_min + eps_k) / g
         assert p_f == pytest.approx(expected, rel=1e-12)
@@ -254,6 +259,53 @@ class TestSecurityReport:
         assert report.infeasible_reason is not None
 
 
+def link_result(usable=(True, False), e_k1=(0.0, 0.0)):
+    """A hand-built link: replay estimates for both Bell states, with the
+    given usable flags and phase errors; Bell 1's Z_ss set is one bit
+    larger, so the selected set size shows which state was taken."""
+    estimates = {}
+    for bell in (0, 1):
+        estimates[bell] = replay_estimate()
+        estimates[bell].bell = bell
+        estimates[bell].usable = usable[bell]
+        estimates[bell].e_k1 = e_k1[bell]
+    size = estimates[0].n_k + estimates[0].r_k
+    return EstimationResult(estimates=estimates, z_sizes={0: size, 1: size + 1})
+
+
+class TestLinkReport:
+    def test_matches_report_of_selected_states(self):
+        results = {"alice_bob": link_result(), "alice_charlie": link_result((True, True))}
+        report = link_report(results, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
+        assert list(report.per_bell) == list(LINKS)
+        for link in LINKS:
+            assert set(report.per_bell[link]) == {"0", "1"}
+            assert report.per_bell[link] == results[link].to_dict()
+        expected = replay_report()
+        expected.per_bell = report.per_bell
+        assert render_report(report.to_dict()) == render_report(expected.to_dict())
+
+    def test_selects_smallest_phase_error(self):
+        result = link_result((True, True), e_k1=(0.02, 0.01))
+        est, z_size = result.selected()
+        assert (est.bell, z_size) == (1, result.z_sizes[1])
+        report = link_report(dict.fromkeys(LINKS, result), BUDGET, 5.58e12, 1e9)
+        assert report.bell == dict.fromkeys(LINKS, 1)
+        # an unusable state is never selected, however small its phase error
+        assert link_result((False, True), e_k1=(0.0, 0.5)).selected()[0].bell == 1
+
+    @pytest.mark.parametrize("failing", LINKS)
+    def test_names_first_link_without_usable_state(self, failing):
+        results = {link: link_result((link != failing, False)) for link in LINKS}
+        assert [result.usable for result in results.values()] == [
+            link != failing for link in LINKS
+        ]
+        with pytest.raises(DegenerateSessionError, match=f"^{failing}: no Bell state"):
+            link_report(results, BUDGET, 5.58e12, 1e9)
+        with pytest.raises(DegenerateSessionError, match="^alice_bob: "):
+            link_report(dict.fromkeys(LINKS, link_result((False, False))), BUDGET, 5.58e12, 1e9)
+
+
 @pytest.fixture(scope="module")
 def tables():
     return ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE)
@@ -357,11 +409,11 @@ class TestLadderSkip:
         evaluated = []
         evaluate = security._evaluate_budget
         monkeypatch.setattr(
-            security, "_evaluate_budget", lambda *args: evaluated.append(args[3]) or evaluate(*args)
+            security, "_evaluate_budget", lambda *args: evaluated.append(args[1]) or evaluate(*args)
         )
         result = signature_length_search(config, config, profile, BUDGET, target, tables=tables)
         monkeypatch.undo()
-        reference, trajectory = plain_length_search(config, config, BUDGET, target, tables)
+        reference, trajectory = plain_length_search(BUDGET, target, tables)
 
         def rendered(found):
             return render_report({"n_sig": found.n_sig, **found.report.to_dict()})
@@ -389,6 +441,10 @@ class TestExpectedStatisticsPerPreset:
             config, config, profile, BUDGET, target_security=1e-4, tables=tables
         )
         assert result.report.meets_target(1e-4)
+        # one expected estimate stands for both links, shaped as a Monte-Carlo report
+        per_bell = result.report.per_bell
+        assert set(per_bell) == set(LINKS)
+        assert all(set(per_bell[link]) == {"0", "1"} for link in LINKS)
 
     def test_counts_only_at_search_cap(self, preset_tables):
         # the search's largest budget: no per-event arrays, and the
@@ -425,14 +481,12 @@ class TestFullScaleScatter:
         pulses = int(expected.n_sig)
         reports = []
         for seed in range(self.SESSIONS):
-            per_kgp = {}
-            for index, name in enumerate(("alice_bob", "alice_charlie")):
+            results = {}
+            for index, name in enumerate(LINKS):
                 session_seed = 2 * seed + index
                 sifted = run_kgp_session(tables, pulses, seed=session_seed)
-                result = estimate_yields(sifted, config, config, BUDGET, seed=session_seed)
-                bell = result.best_bell()
-                per_kgp[name] = (result.estimates[bell], int(sifted.z_counts[bell, 0, 0]))
-            reports.append(build_security_report(per_kgp, BUDGET, pulses, config.pulse_rate))
+                results[name] = estimate_yields(sifted, config, config, BUDGET, seed=session_seed)
+            reports.append(link_report(results, BUDGET, pulses, config.pulse_rate))
         assert all(r.feasible for r in reports)
         # E_bar is left out: a report takes the worse of its two sessions'
         # error bounds, so the Monte-Carlo E_bar sits above the expected path

@@ -237,8 +237,8 @@ class TestExpectedRates:
             ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, profile))
         for ia, label_a in enumerate(INTENSITY_LABELS):
             for ib, label_b in enumerate(INTENSITY_LABELS):
-                mu_a = PUBLISHED_CONFIG.intensity(label_a)
-                mu_b = PUBLISHED_CONFIG.intensity(label_b)
+                mu_a = PUBLISHED_CONFIG.intensities[label_a]
+                mu_b = PUBLISHED_CONFIG.intensities[label_b]
                 q_z, q_x, errors_z, errors_x = ma_razavi_rates(profile, mu_a, mu_b)
                 errors = (gain * error_rate)[:, :, ia, ib].sum(axis=0)
                 np.testing.assert_allclose(gain[:, :, ia, ib].sum(axis=0), [q_z, q_x],

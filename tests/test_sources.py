@@ -91,10 +91,12 @@ class TestTransmit:
             assert np.array_equal(aligned.arrive_pmf[party], crossed.arrive_pmf[party])
 
     def test_transmittance_formula(self):
+        # 12.5 km half-link of a 25 km channel
+        profile = SystemProfile(distance_km=25.0, loss_coeff_db_per_km=0.2)
+        assert profile.transmittance() == pytest.approx(10 ** -0.25, rel=1e-12)
+        assert profile.transmittance() == pytest.approx(0.5623, abs=1e-4)
+        # the 25 km half-link of the 50 km channel
         profile = SystemProfile(distance_km=50.0, loss_coeff_db_per_km=0.2)
-        assert profile.transmittance(12.5) == pytest.approx(10 ** -0.25, rel=1e-12)
-        assert profile.transmittance(12.5) == pytest.approx(0.5623, abs=1e-4)
-        # default distance is the 25 km half-link of the 50 km channel
         assert profile.transmittance() == pytest.approx(10 ** -0.5, rel=1e-12)
 
     def test_survival_statistics(self):
