@@ -1,25 +1,21 @@
-"""Numeric kernel: entropies, concentration functions, log-space combinatorics.
+"""Numeric kernel: entropies, concentration functions, binomial tails.
 
-Everything in here is a pure function of its arguments.  Quantities that can
-underflow double precision (binomial tail sums over millions of trials) are
-carried as base-2 logarithms and only converted to linear scale by callers
-that know the magnitudes involved.
+Everything in here is a pure function of its arguments.  Binomial tail sums
+are exact integers; where they would overflow double precision they reach
+callers as base-2 logarithms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 # Above this trial count the exact binomial tail sum is replaced by the
-# entropy-exponent upper bound n*h(r/n).
+# entropy-exponent upper bound n*h(k/n).
 EXACT_TAIL_LIMIT = 10_000
-
-_LOG2_E = math.log2(math.e)
 
 # bisection of inverse_binary_entropy: bracket width and step limit
 _INVERSE_TOL = 1e-12
@@ -58,37 +54,37 @@ def inverse_binary_entropy(y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class LogProb:
-    """A probability or count sum carried as log2.
+def count_below(x: float) -> int:
+    """The largest count strictly below ``x`` (0 when none is): the last index
+    of a tail of counts that must stay below a threshold."""
+    return max(math.ceil(x) - 1, 0)
 
-    ``is_bound`` marks values computed via the entropy-exponent upper bound
-    rather than the exact sum.
+
+def binomial_tail(n: int, k: int) -> int:
+    """sum_{m=0..k} C(n, m), exactly.
+
+    Each coefficient is built from the last, C(n, m+1) = C(n, m) (n - m) /
+    (m + 1), which stays exact in integers.
     """
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+    term = tail = 1
+    for m in range(k):
+        term = term * (n - m) // (m + 1)
+        tail += term
+    return tail
 
-    log2_value: float
-    is_bound: bool = False
 
+def binomial_tail_log2(n: int, k: int) -> float:
+    """log2 of sum_{m=0..k} C(n, m).
 
-def _log2_binom(n: int, m: int) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)) * _LOG2_E
-
-
-def binomial_tail_log2(n: int, r: int) -> LogProb:
-    """log2 of sum_{m=0..r} C(n, m), in log space via log-gamma.
-
-    For n > EXACT_TAIL_LIMIT the entropy exponent n*h(r/n) is returned
-    instead of the exact sum and flagged as a bound (it upper-bounds the sum
-    for r <= n/2 and costs O(1) instead of O(r)).
+    Exact up to n = EXACT_TAIL_LIMIT; above it the entropy exponent n*h(k/n)
+    stands in, which upper-bounds the sum for k <= n/2 and costs O(1)
+    instead of O(k).
     """
-    if r < 0 or n < 0 or r > n:
-        raise DomainError(f"need 0 <= r <= n, got n={n}, r={r}")
-    if n > EXACT_TAIL_LIMIT:
-        return LogProb(n * binary_entropy(min(r / n, 0.5)), is_bound=True)
-    terms = [_log2_binom(n, m) for m in range(r + 1)]
-    peak = max(terms)
-    total = sum(2.0 ** (t - peak) for t in terms)
-    return LogProb(peak + math.log2(total))
+    if n <= EXACT_TAIL_LIMIT or not 0 <= k <= n:
+        return math.log2(binomial_tail(n, k))  # raises on a k outside [0, n]
+    return n * binary_entropy(min(k / n, 0.5))
 
 
 def chernoff_delta(x, y: float):

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .entropy import binomial_tail, count_below
 from .errors import ValidationError
 
 
@@ -151,13 +152,7 @@ def forging_success_probability(length: int, s_v: float) -> float:
     """The exact success probability of `simulate_forging_bob`'s Bob:
     P(Binomial(L/2, 1/2) < s_v * L/2).
 
-    The tail is an integer sum, divided exactly: in floats, 2.0**-half is 0
-    from L = 2150 and the sum overflows from L = 2538.  Each binomial
-    coefficient is built from the last, C(n, m+1) = C(n, m) (n - m) / (m + 1),
-    which stays exact in integers."""
+    The integer tail is divided exactly: in floats, 2.0**-half is 0 from
+    L = 2150.  It is at most 2**half, so the quotient is at most 1."""
     half = length // 2
-    term = tail = 1
-    for m in range(max(math.ceil(s_v * half) - 1, 0)):
-        term = term * (half - m) // (m + 1)
-        tail += term
-    return min(tail / 2**half, 1.0)
+    return binomial_tail(half, count_below(s_v * half)) / 2**half

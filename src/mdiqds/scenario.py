@@ -69,6 +69,10 @@ class Scenario:
             raise ValidationError("zeta must lie in [1,2]")
         if not self.n_sig > 0:
             raise ValidationError("n_sig must be positive")
+        # MDI interference needs both parties' pulses on one clock
+        if self.source_a.pulse_rate != self.source_b.pulse_rate:
+            raise ValidationError(f"source_a and source_b must share pulse_rate, got "
+                                  f"{self.source_a.pulse_rate} and {self.source_b.pulse_rate}")
 
 
 # scenario-file key -> Scenario field, for the fields taken as they are given
@@ -84,8 +88,6 @@ _ANALYTIC_DEFAULTS = {
     "e_obs": 0.0207,
     "h_min_target": 8.69e5,
 }
-# the optional vacuum/single-photon split that replaces h_min_target
-_ANALYTIC_KEYS = _ANALYTIC_DEFAULTS.keys() | {"n_k0", "n_k1", "e_k1"}
 
 _PROTOCOL_DEFAULTS = {
     "length": 1000,
@@ -183,7 +185,7 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
             budget=_override(ErrorBudget(), raw.get("budget", {}), "budget"),
             **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
             analytic={**_ANALYTIC_DEFAULTS, **_known(
-                _numbers(raw.get("analytic", {}), "analytic"), _ANALYTIC_KEYS, "analytic")},
+                _numbers(raw.get("analytic", {}), "analytic"), _ANALYTIC_DEFAULTS, "analytic")},
             protocol_params=_build_protocol(raw.get("protocol", {})),
         )
     except (ValidationError, DomainError) as exc:
@@ -219,17 +221,6 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
     n_k = int(params["n_k"])
     r_k = int(params["r_k"])
     n_half = n_k // 2
-    if "n_k0" in params or "n_k1" in params:
-        n_k0 = int(params.get("n_k0", 0))
-        n_k1 = int(params.get("n_k1", 0))
-        e_k1 = float(params.get("e_k1", 0.0))
-    else:
-        # recover the count rate from the published min-entropy: feed it
-        # entirely through the vacuum term, which the entropy bound treats
-        # identically to any split with e_k1 = 0
-        n_k0 = round(float(params["h_min_target"]))
-        n_k1 = 0
-        e_k1 = 0.0
     est = YieldEstimate(
         bell=0,
         budget=budget,
@@ -237,9 +228,11 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
         r_k=r_k,
         e_obs=float(params["e_obs"]),
         e_upper=true_error_upper_bound(float(params["e_obs"]), n_half, r_k, budget.eps_pe),
-        n_k0=n_k0,
-        n_k1=n_k1,
-        e_k1=e_k1,
+        # recover the count rate from the published min-entropy: feed it
+        # entirely through the vacuum term, which the entropy bound treats
+        # identically to any split with e_k1 = 0
+        n_k0=round(float(params["h_min_target"])),
+        e_k1=0.0,
         validity_ok=True,
         usable=True,
     )

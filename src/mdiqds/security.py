@@ -18,6 +18,7 @@ from . import presets
 from .entropy import (
     binary_entropy,
     binomial_tail_log2,
+    count_below,
     inverse_binary_entropy,
     log2addexp,
 )
@@ -60,12 +61,12 @@ def forging_tail(
 ) -> tuple[float, float]:
     """Probability budget for an adversary guessing the unknown half-key.
 
-    The average probability of making at most r mistakes is bounded by
-    T(r) * 2^(-h_min) + eps_k where T(r) sums the binomial coefficients; by
-    Markov the realized probability stays below g except with probability
+    The average probability of making fewer than r mistakes is bounded by
+    T(r) * 2^(-h_min) + eps_k where T(r) = sum_{m<r} C(n_k/2, m); by Markov
+    the realized probability stays below g except with probability
     p_F = (T(r) * 2^(-h_min) + eps_k) / g.  Returns (p_F, log2(p_F)).
 
-    The exact sum is used for n_k <= 10^4; above that the entropy exponent
+    The exact sum is used for n_k/2 <= 10^4; above that the entropy exponent
     (n_k/2) * h(2r/n_k) stands in for log2 T(r).
     """
     n_half = n_k // 2
@@ -73,8 +74,7 @@ def forging_tail(
         raise DomainError(f"mistake threshold r={r} exceeds half-key {n_half}")
     if g <= 0.0:
         raise DomainError("g must be positive")
-    tail = binomial_tail_log2(n_half, max(math.ceil(r) - 1, 0))
-    log2_avg = tail.log2_value - h_min
+    log2_avg = binomial_tail_log2(n_half, count_below(r)) - h_min
     log2_p_f = log2addexp(log2_avg, math.log2(eps_k)) - math.log2(g)
     return 2.0 ** min(log2_p_f, 64.0), log2_p_f
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from mdiqds.entropy import (
     EXACT_TAIL_LIMIT,
     binary_entropy,
+    binomial_tail,
     binomial_tail_log2,
     chernoff_delta,
     inverse_binary_entropy,
@@ -67,36 +68,47 @@ class TestInverseBinaryEntropy:
 
 class TestBinomialTail:
     def test_full_sum(self):
-        assert binomial_tail_log2(4, 4).log2_value == pytest.approx(4.0, abs=1e-12)
+        assert binomial_tail_log2(4, 4) == pytest.approx(4.0, abs=1e-12)
 
     def test_single_term(self):
-        assert binomial_tail_log2(5, 0).log2_value == pytest.approx(0.0, abs=1e-12)
+        assert binomial_tail_log2(5, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_small_case(self):
         # 1 + 10 + 45 = 56
-        assert binomial_tail_log2(10, 2).log2_value == pytest.approx(math.log2(56), abs=1e-10)
+        assert binomial_tail_log2(10, 2) == pytest.approx(math.log2(56), abs=1e-10)
+
+    def test_integer_tail_vs_bigint_oracle(self):
+        for n in range(41):
+            for k in range(n + 1):
+                assert binomial_tail(n, k) == sum(math.comb(n, m) for m in range(k + 1)), (n, k)
 
     def test_exact_vs_bigint_oracle(self):
         for n in range(31):
             for r in range(n + 1):
                 exact = math.log2(sum(math.comb(n, m) for m in range(r + 1)))
-                got = binomial_tail_log2(n, r)
-                assert not got.is_bound
-                assert got.log2_value == pytest.approx(exact, abs=1e-10), (n, r)
+                # the exact sum, not the entropy exponent: equal to the last bit
+                assert binomial_tail_log2(n, r) == exact, (n, r)
 
     def test_bound_switch(self):
+        # at the limit the exact sum is used, one past it the entropy exponent
+        n = EXACT_TAIL_LIMIT
+        r = n // 10
+        exact = math.log2(sum(math.comb(n, m) for m in range(r + 1)))
+        assert binomial_tail_log2(n, r) == exact
+        assert exact < n * binary_entropy(r / n)
         n = EXACT_TAIL_LIMIT + 1
         r = n // 10
-        got = binomial_tail_log2(n, r)
-        assert got.is_bound
-        assert got.log2_value == pytest.approx(n * binary_entropy(r / n), rel=1e-12)
+        assert binomial_tail_log2(n, r) == n * binary_entropy(r / n)
         # the entropy exponent really is an upper bound on the exact sum
         small = binomial_tail_log2(1000, 100)
-        assert small.log2_value <= 1000 * binary_entropy(0.1) + 1e-9
+        assert small <= 1000 * binary_entropy(0.1) + 1e-9
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            binomial_tail_log2(3, 4)
+        for n, k in ((3, 4), (3, -1), (EXACT_TAIL_LIMIT + 1, EXACT_TAIL_LIMIT + 2)):
+            with pytest.raises(DomainError):
+                binomial_tail_log2(n, k)
+            with pytest.raises(DomainError):
+                binomial_tail(n, k)
 
 
 class TestDeviationFunctions:

@@ -77,6 +77,14 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match="unknown profile field"):
             scenario_from_dict({"mode": "analytic", "profile": {"eta": 0.5}})
 
+    def test_parties_share_pulse_rate(self):
+        # one rate for both parties, given once or twice, sets t_r; two
+        # different rates are rejected (test_bad_config_exit_code)
+        for config in ({"source": {"pulse_rate": 2e9}},
+                       {"source_a": {"pulse_rate": 2e9}, "source_b": {"pulse_rate": 2e9}}):
+            _, payload = run(scenario_from_dict({"mode": "analytic", **config}))
+            assert payload["security"]["t_r_seconds"] == 2790.0
+
     @pytest.mark.parametrize("mode", ["sweep", ["analytic"]])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValidationError, match="mode must be one of"):
@@ -275,6 +283,9 @@ class TestCli:
             {"protocol": {"lenght": 4000}},
             {"protocol": {"trails": 5}},
             {"analytic": {"n_kk": 1}},
+            {"analytic": {"n_k0": 5}},
+            {"source_a": {"pulse_rate": 2e9}},
+            {"source_b": {"pulse_rate": 2e9}},
             {"protocol": {"e_bar": 0.4, "p_e": 0.3}},
             {"target_security": 1e-4},
         ],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdiqds.entropy import binary_entropy, binomial_tail_log2
+from mdiqds.entropy import EXACT_TAIL_LIMIT, binary_entropy, binomial_tail_log2
 from mdiqds import presets, security
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from mdiqds.estimation import (
@@ -15,6 +15,7 @@ from mdiqds.estimation import (
     estimate_yields,
     true_error_upper_bound,
 )
+from mdiqds.protocol import forging_success_probability
 from mdiqds.security import (
     LINKS,
     build_security_report,
@@ -108,8 +109,8 @@ class TestForgingTail:
         n_k, r, h_min, eps_k, g = 20, 3, 10.0, 1e-10, 1e-5
         p_f, _ = forging_tail(n_k, r, h_min, eps_k, g)
         # strict threshold: fewer than 3 mistakes means at most 2, summed exactly
-        assert not binomial_tail_log2(n_k // 2, r - 1).is_bound
         tail = sum(math.comb(10, m) for m in range(3))
+        assert binomial_tail_log2(n_k // 2, r - 1) == math.log2(tail)
         expected = (tail * 2.0**-h_min + eps_k) / g
         assert p_f == pytest.approx(expected, rel=1e-12)
 
@@ -129,11 +130,25 @@ class TestForgingTail:
         for n_k in (2000, 6000, 20000):
             n_half = n_k // 2
             r = int(0.05 * n_half)
-            exact = binomial_tail_log2(min(n_half, 10_000), r)
+            exact = binomial_tail_log2(min(n_half, EXACT_TAIL_LIMIT), r)
+            assert exact == math.log2(sum(math.comb(n_half, m) for m in range(r + 1)))
             bound = n_half * binary_entropy(r / n_half)
-            if not exact.is_bound:
-                ratio = bound / exact.log2_value
-                assert 1.0 <= ratio < 2.0
+            ratio = bound / exact
+            assert 1.0 <= ratio < 2.0
+
+    @pytest.mark.parametrize("length, s_v", [
+        (24, 0.2), (1000, 0.3), (4000, 0.45), (10**4, 0.3), (2 * 10**4, 0.45), (2 * 10**4, 0.5),
+    ])
+    def test_ties_protocol_forging_bound(self, length, s_v):
+        # with h_min = L/2 and a negligible eps_k, p_F is the chance that a
+        # uniform guess of the L/2 unknown bits stays below s_v * L/2, which
+        # the protocol mode checks its forging battery against
+        half = length // 2
+        assert half <= EXACT_TAIL_LIMIT
+        want = forging_success_probability(length, s_v)
+        assert want > 0.0
+        p_f, _ = forging_tail(length, s_v * half, float(half), 1e-300, 1.0)
+        assert p_f == pytest.approx(want, rel=1e-12)
 
 
 class TestAdversaryFloor:
