@@ -55,7 +55,7 @@ def _run(mode: str, config, preset, out, **overrides):
         # or from a session past the samplers' limits
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    if scenario.output_format == "csv":
+    if scenario.format == "csv":
         text = table_rows_to_csv(payload["rows"])
     else:
         text = render_report(payload)

@@ -29,7 +29,7 @@ except with the probability recorded there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -438,11 +438,6 @@ def split_signal_set(size: int, r_fraction: float) -> tuple[int, int] | None:
     return r_k, (size - r_k) // 2 * 2
 
 
-# the YieldEstimate fields that the decoy programs determine
-_PROGRAM_FIELDS = ("m_k0", "m_k1", "n_k0", "n_k1", "n_bar_k1", "e_bar_k1", "e_k1", "usable",
-                   "abort_reason")
-
-
 def estimate_yields(
     sifted: SiftedData,
     config_a: DecoySourceConfig,
@@ -467,7 +462,7 @@ def estimate_yields(
     vacuum, single = vacuum_objective(pop), single_pair_objective(pop)
     rng = _estimate_rng(seed)
     result = EstimationResult(estimates={}, z_sizes={})
-    solved: list[tuple[tuple[np.ndarray, ...], YieldEstimate]] = []
+    solved: dict[bytes, YieldEstimate] = {}  # program inputs -> the estimate that solved them
     for bell in (0, 1):
         size = result.z_sizes[bell] = int(sifted.z_counts[bell, 0, 0])
         est = result.estimates[bell] = YieldEstimate(bell=bell, budget=budget)
@@ -477,29 +472,23 @@ def estimate_yields(
             continue
         est.r_k, est.n_k = split
         est.e_obs = observed_error_rate(size, int(sifted.z_errors[bell, 0, 0]), est.r_k, rng)
-        n_half = est.n_half
-        est.e_upper = true_error_upper_bound(est.e_obs, n_half, est.r_k, budget.eps_pe)
-        est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
-        counts = (sifted.z_counts[bell], sifted.x_counts[bell], sifted.x_errors[bell])
-        twin = next((done for seen, done in solved if all(map(np.array_equal, seen, counts))),
-                    None)
-        if twin is not None:
-            for name in _PROGRAM_FIELDS:
-                setattr(est, name, getattr(twin, name))
+        est.e_upper = true_error_upper_bound(est.e_obs, est.n_half, est.r_k, budget.eps_pe)
+        key = b"".join(counts[bell].tobytes()
+                       for counts in (sifted.z_counts, sifted.x_counts, sifted.x_errors))
+        if key in solved:
+            result.estimates[bell] = replace(solved[key], bell=bell, e_obs=est.e_obs,
+                                             e_upper=est.e_upper)
             continue
-        solved.append((counts, est))
-        z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
+        solved[key] = est
+        est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
         try:
+            z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
             est.m_k0 = _lower_bound(z_block, caps["Z"], vacuum, budget.eps_0)
             est.m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
-        except InfeasibleObservationsError as exc:
-            est.abort_reason = str(exc)
-            continue
-        est.n_k0 = serfling_scale(est.m_k0, size, n_half, budget.eps_k0_serfling)
-        est.n_k1 = serfling_scale(est.m_k1, size, n_half, budget.eps_k1_serfling)
-        x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
-        error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
-        try:
+            est.n_k0 = serfling_scale(est.m_k0, size, est.n_half, budget.eps_k0_serfling)
+            est.n_k1 = serfling_scale(est.m_k1, size, est.n_half, budget.eps_k1_serfling)
+            x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
+            error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
             n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
             e_bar = _upper_bound_errors(
                 x_block, error_block, caps["X"], single, budget.eps_ke_x2
@@ -508,7 +497,6 @@ def estimate_yields(
             est.e_k1 = upper_bound_e_k1(est.n_k1, n_bar, e_bar, budget)
         except (DegenerateSessionError, InfeasibleObservationsError) as exc:
             est.abort_reason = str(exc)
-            est.e_k1 = 1.0
             continue
         est.usable = True
     return result

@@ -10,25 +10,19 @@ from .sources import DecoySourceConfig, SystemProfile
 
 @dataclass(frozen=True)
 class DetectorPreset:
-    name: str
     detector_efficiency: float
     dark_count_prob: float
-    citation: str
 
 
 DETECTOR_PRESETS = {
-    "standard": DetectorPreset(
-        "standard", 0.145, 6.02e-6, "standard single-photon detectors"
-    ),
-    "ingaas-apd": DetectorPreset(
-        "ingaas-apd", 0.30, 1.30e-4, "InGaAs avalanche photodiode detectors"
-    ),
-    "ingaas-inp-apd": DetectorPreset(
-        "ingaas-inp-apd", 0.55, 5.00e-4, "InGaAs/InP avalanche photodiode detectors"
-    ),
-    "snspd": DetectorPreset(
-        "snspd", 0.93, 1.00e-6, "superconducting nanowire single-photon detectors"
-    ),
+    # standard single-photon detectors
+    "standard": DetectorPreset(0.145, 6.02e-6),
+    # InGaAs avalanche photodiode detectors
+    "ingaas-apd": DetectorPreset(0.30, 1.30e-4),
+    # InGaAs/InP avalanche photodiode detectors
+    "ingaas-inp-apd": DetectorPreset(0.55, 5.00e-4),
+    # superconducting nanowire single-photon detectors
+    "snspd": DetectorPreset(0.93, 1.00e-6),
 }
 
 
@@ -71,6 +65,8 @@ DEFAULT_LOSS_DB_PER_KM = 0.2
 DEFAULT_MISALIGNMENT = 0.01
 DEFAULT_R_FRACTION = 0.055
 DEFAULT_ZETA = 1.16
+# pulses per party of the worked example: the standard detector's 1e-5 row
+DEFAULT_N_SIG = 5.58e12
 
 
 def default_source_config() -> DecoySourceConfig:
@@ -82,14 +78,15 @@ def default_source_config() -> DecoySourceConfig:
     )
 
 
-def profile_for_preset(name: str, distance_km: float = DEFAULT_DISTANCE_KM) -> SystemProfile:
-    preset = DETECTOR_PRESETS.get(name)
-    if preset is None:
+def profile_for_preset(name: str) -> SystemProfile:
+    # a tuple, so an unhashable name is rejected too
+    if name not in tuple(DETECTOR_PRESETS):
         raise ValidationError(
             f"unknown detector preset {name!r}; known: {sorted(DETECTOR_PRESETS)}"
         )
+    preset = DETECTOR_PRESETS[name]
     return SystemProfile(
-        distance_km=distance_km,
+        distance_km=DEFAULT_DISTANCE_KM,
         loss_coeff_db_per_km=DEFAULT_LOSS_DB_PER_KM,
         detector_efficiency=preset.detector_efficiency,
         dark_count_prob=preset.dark_count_prob,
@@ -97,6 +94,6 @@ def profile_for_preset(name: str, distance_km: float = DEFAULT_DISTANCE_KM) -> S
     )
 
 
-def benchmark_minutes(row: BenchmarkRow, pulse_rate: float = DEFAULT_PULSE_RATE) -> float:
+def benchmark_minutes(row: BenchmarkRow) -> float:
     """Raw key time in minutes from the printed pulse count."""
-    return row.n_sig / pulse_rate / 60.0
+    return row.n_sig / DEFAULT_PULSE_RATE / 60.0

@@ -31,9 +31,55 @@ EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 
 
+@dataclass(frozen=True)
+class AnalyticInputs:
+    """Inputs of the analytic replay, by default the worked example's: the
+    code string n_k and error-estimation bits r_k of the signal-signal Z set,
+    the observed error rate, and the published min-entropy.  Counts are read
+    through int(), so a JSON 1e3 counts as 1000."""
+
+    n_k: int = 8_900_000
+    r_k: int = 518_000
+    e_obs: float = 0.0207
+    h_min_target: float = 8.69e5
+
+
+# each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials
+_MAX_TRIALS = 10**7
+
+
+@dataclass(frozen=True)
+class ProtocolParams:
+    """Parameters of the protocol trial batteries, checked before any run."""
+
+    length: int = 1000
+    e_bar: float = 0.05
+    p_e: float = 0.35
+    honest_error: float = 0.05
+    trials: int = 10_000
+
+    def __post_init__(self):
+        for key in ("length", "trials"):
+            value = getattr(self, key)
+            if not (value > 0 and value == int(value)):
+                raise ValidationError(f"protocol {key} must be a positive integer, got {value!r}")
+        if self.length % 2 == 1:
+            raise ValidationError(f"protocol length must be even, got {self.length!r}")
+        if self.trials > _MAX_TRIALS:
+            raise ValidationError(f"protocol trials must be at most {_MAX_TRIALS}, "
+                                  f"got {self.trials!r}")
+        for key in ("honest_error", "e_bar", "p_e"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"protocol {key} must lie in [0,1], got {value!r}")
+        if not self.e_bar < self.p_e:
+            raise ValidationError("protocol scenario needs e_bar < p_e")
+
+
 @dataclass
 class Scenario:
-    """One fully resolved run configuration."""
+    """One fully resolved run configuration.  Every field but the two
+    sources is also a scenario-file key."""
 
     source_a: DecoySourceConfig
     source_b: DecoySourceConfig
@@ -41,21 +87,21 @@ class Scenario:
     budget: ErrorBudget
     mode: str = "analytic"
     seed: int | None = None
-    output_format: str = "json"
+    format: str = "json"
     scale_factor: float = 1.0
     r_fraction: float = presets.DEFAULT_R_FRACTION
     zeta: float = presets.DEFAULT_ZETA
-    n_sig: float = 5.58e12
-    analytic: dict = field(default_factory=dict)
-    protocol_params: dict = field(default_factory=dict)
+    n_sig: float = presets.DEFAULT_N_SIG
+    analytic: AnalyticInputs = field(default_factory=AnalyticInputs)
+    protocol: ProtocolParams = field(default_factory=ProtocolParams)
 
     def __post_init__(self):
         modes = tuple(MODES)  # a tuple, so an unhashable mode is rejected too
         if self.mode not in modes:
             raise ValidationError(f"mode must be one of {modes}, got {self.mode!r}")
-        if self.output_format not in FORMATS:
+        if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}")
-        if self.output_format == "csv" and self.mode != "table-sweep":
+        if self.format == "csv" and self.mode != "table-sweep":
             raise ValidationError("format csv is only available for the table sweep")
         if self.scale_factor < 1:
             raise ValidationError("scale_factor must be >= 1")
@@ -73,30 +119,6 @@ class Scenario:
         if self.source_a.pulse_rate != self.source_b.pulse_rate:
             raise ValidationError(f"source_a and source_b must share pulse_rate, got "
                                   f"{self.source_a.pulse_rate} and {self.source_b.pulse_rate}")
-
-
-# scenario-file key -> Scenario field, for the fields taken as they are given
-_SCENARIO_FIELDS = {
-    "mode": "mode", "seed": "seed", "format": "output_format", "scale_factor": "scale_factor",
-    "r_fraction": "r_fraction", "zeta": "zeta", "n_sig": "n_sig",
-}
-
-# worked-example parameters for the analytic replay
-_ANALYTIC_DEFAULTS = {
-    "n_k": 8_900_000,
-    "r_k": 518_000,
-    "e_obs": 0.0207,
-    "h_min_target": 8.69e5,
-}
-
-_PROTOCOL_DEFAULTS = {
-    "length": 1000,
-    "e_bar": 0.05,
-    "p_e": 0.35,
-    "honest_error": 0.05,
-    "trials": 10_000,
-}
-_MAX_TRIALS = 10**7
 
 
 def _numbers(payload, where: str, keys=None) -> dict:
@@ -119,28 +141,6 @@ def _known(payload: dict, known, where: str) -> dict:
     if unknown:
         raise ValidationError(f"unknown {where} fields {sorted(unknown)}")
     return payload
-
-
-def _build_protocol(payload: dict) -> dict:
-    """The protocol parameters over their defaults, checked before any run."""
-    params = {**_PROTOCOL_DEFAULTS,
-              **_known(_numbers(payload, "protocol"), _PROTOCOL_DEFAULTS, "protocol")}
-    for key in ("length", "trials"):
-        if not (params[key] > 0 and params[key] == int(params[key])):
-            raise ValidationError(f"protocol {key} must be a positive integer, "
-                                  f"got {params[key]!r}")
-    if params["length"] % 2 == 1:
-        raise ValidationError(f"protocol length must be even, got {params['length']!r}")
-    # each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials
-    if params["trials"] > _MAX_TRIALS:
-        raise ValidationError(f"protocol trials must be at most {_MAX_TRIALS}, "
-                              f"got {params['trials']!r}")
-    for key in ("honest_error", "e_bar", "p_e"):
-        if not 0.0 <= params[key] <= 1.0:
-            raise ValidationError(f"protocol {key} must lie in [0,1], got {params[key]!r}")
-    if not params["e_bar"] < params["p_e"]:
-        raise ValidationError("protocol scenario needs e_bar < p_e")
-    return params
 
 
 def _build_source(payload: dict) -> DecoySourceConfig:
@@ -167,27 +167,21 @@ def scenario_from_dict(raw: dict, preset: str | None = None) -> Scenario:
     defaults to everything left unspecified."""
     if not isinstance(raw, dict):
         raise ValidationError("scenario must be a JSON object")
-    _known(raw, _SCENARIO_FIELDS.keys() | {
-        "source", "source_a", "source_b", "profile", "budget", "preset", "analytic", "protocol",
-    }, "scenario")
+    _known(raw, {f.name for f in fields(Scenario)} | {"source", "preset"}, "scenario")
     _numbers({k: v for k, v in raw.items() if v is not None}, "scenario",
              {"seed", "scale_factor", "r_fraction", "zeta", "n_sig"})
     preset = raw.get("preset", preset)
+    preset = "standard" if preset is None else preset  # "" or {} is not a preset
     shared = _numbers(raw.get("source", {}), "source", ())
-    source_a = _build_source({**shared, **_numbers(raw.get("source_a", {}), "source_a", ())})
-    source_b = _build_source({**shared, **_numbers(raw.get("source_b", {}), "source_b", ())})
+    given = {key: raw[key] for key in raw.keys() - {"source", "preset"}}
+    for name in ("source_a", "source_b"):
+        given[name] = _build_source({**shared, **_numbers(raw.get(name, {}), name, ())})
     try:
-        return Scenario(
-            source_a=source_a,
-            source_b=source_b,
-            profile=_override(presets.profile_for_preset(preset or "standard"),
-                              raw.get("profile", {}), "profile"),
-            budget=_override(ErrorBudget(), raw.get("budget", {}), "budget"),
-            **{name: raw[key] for key, name in _SCENARIO_FIELDS.items() if key in raw},
-            analytic={**_ANALYTIC_DEFAULTS, **_known(
-                _numbers(raw.get("analytic", {}), "analytic"), _ANALYTIC_DEFAULTS, "analytic")},
-            protocol_params=_build_protocol(raw.get("protocol", {})),
-        )
+        for name, base in (("profile", presets.profile_for_preset(preset)),
+                           ("budget", ErrorBudget()), ("analytic", AnalyticInputs()),
+                           ("protocol", ProtocolParams())):
+            given[name] = _override(base, raw.get(name, {}), name)
+        return Scenario(**given)
     except (ValidationError, DomainError) as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -218,20 +212,20 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
     """Replay the security pipeline from published or configured inputs."""
     params = scenario.analytic
     budget = scenario.budget
-    n_k = int(params["n_k"])
-    r_k = int(params["r_k"])
+    n_k = int(params.n_k)
+    r_k = int(params.r_k)
     n_half = n_k // 2
     est = YieldEstimate(
         bell=0,
         budget=budget,
         n_k=n_k,
         r_k=r_k,
-        e_obs=float(params["e_obs"]),
-        e_upper=true_error_upper_bound(float(params["e_obs"]), n_half, r_k, budget.eps_pe),
+        e_obs=float(params.e_obs),
+        e_upper=true_error_upper_bound(float(params.e_obs), n_half, r_k, budget.eps_pe),
         # recover the count rate from the published min-entropy: feed it
         # entirely through the vacuum term, which the entropy bound treats
         # identically to any split with e_k1 = 0
-        n_k0=round(float(params["h_min_target"])),
+        n_k0=round(float(params.h_min_target)),
         e_k1=0.0,
         validity_ok=True,
         usable=True,
@@ -289,11 +283,11 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
 
 def run_protocol(scenario: Scenario) -> tuple[int, dict]:
     """Monte-Carlo protocol trials against the analytic bounds."""
-    params = scenario.protocol_params
-    length = int(params["length"])
-    s_a, s_v = choose_thresholds(float(params["e_bar"]), float(params["p_e"]))
-    trials = int(params["trials"])
-    honest_error = float(params["honest_error"])
+    params = scenario.protocol
+    length = int(params.length)
+    s_a, s_v = choose_thresholds(float(params.e_bar), float(params.p_e))
+    trials = int(params.trials)
+    honest_error = float(params.honest_error)
     seed = int(scenario.seed)
 
     honest = protocol.simulate_honest_batch(

@@ -21,18 +21,18 @@ BASES = ("Z", "X")
 POLARIZATION = {("Z", 0): "H", ("Z", 1): "V", ("X", 0): "D", ("X", 1): "A"}
 
 
-def truncated_poisson_pmf(mean: float, cutoff: int = N_CUT) -> np.ndarray:
-    """Poisson pmf over 0..cutoff with the tail mass folded into the top bucket."""
+def truncated_poisson_pmf(mean: float) -> np.ndarray:
+    """Poisson pmf over 0..N_CUT with the tail mass folded into the top bucket."""
     if mean < 0:
         raise ValidationError(f"negative mean photon number: {mean}")
     if mean == 0.0:
-        pmf = np.zeros(cutoff + 1)
+        pmf = np.zeros(N_CUT + 1)
         pmf[0] = 1.0
         return pmf
-    n = np.arange(cutoff + 1)
+    n = np.arange(N_CUT + 1)
     log_p = -mean + n * math.log(mean) - [math.lgamma(k + 1) for k in n]
     pmf = np.exp(log_p)
-    pmf[cutoff] += max(0.0, 1.0 - pmf.sum())
+    pmf[N_CUT] += max(0.0, 1.0 - pmf.sum())
     return pmf
 
 

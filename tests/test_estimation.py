@@ -9,7 +9,7 @@ import pytest
 
 from mdiqds import estimation
 from mdiqds.entropy import chernoff_delta
-from mdiqds.errors import DegenerateSessionError, DomainError
+from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from mdiqds.estimation import (
     ErrorBudget,
     PhotonPopulation,
@@ -510,6 +510,25 @@ class TestEstimateYields:
         sifted.x_counts[1, 0, 0] += 1
         estimate()
         assert len(calls) == 8
+
+    def test_failed_error_program_keeps_no_x_bounds(self, monkeypatch):
+        # n_bar_k1 and e_bar_k1 are set together once both X programs have
+        # solved; when the joint error program fails neither is, e_k1 keeps
+        # its nothing-estimated 1.0, and the Z bounds stay in the report
+        rates = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
+        sifted = expected_sifted_data(rates, 5.58e12)
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleObservationsError("joint error program failed")
+
+        monkeypatch.setattr(estimation, "_upper_bound_errors", infeasible)
+        res = estimate_yields(sifted, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
+        assert not res.usable
+        for est in res.estimates.values():
+            assert (est.n_bar_k1, est.e_bar_k1, est.e_k1) == (0.0, 0.0, 1.0)
+            assert not est.usable
+            assert est.abort_reason == "joint error program failed"
+            assert est.n_k1 > 0
 
     def test_deterministic(self, rich_session):
         one = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)

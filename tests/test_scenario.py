@@ -2,18 +2,24 @@
 
 import json
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from mdiqds import presets
 from mdiqds import scenario as scenario_module
 from mdiqds.cli import main
 from mdiqds.errors import ValidationError
+from mdiqds.estimation import ErrorBudget
 from mdiqds.security import LINKS
 from mdiqds.scenario import (
     EXIT_INFEASIBLE,
     EXIT_OK,
+    MODES,
+    ProtocolParams,
+    Scenario,
     read_scenario_file,
     render_report,
     run,
@@ -85,6 +91,30 @@ class TestScenarioLoading:
             _, payload = run(scenario_from_dict({"mode": "analytic", **config}))
             assert payload["security"]["t_r_seconds"] == 2790.0
 
+    def test_accepted_top_level_keys(self):
+        # every Scenario field but the two sources is a config key: a new
+        # field must not become one unnoticed
+        keys = {"source", "source_a", "source_b", "profile", "budget", "preset", "mode",
+                "seed", "format", "scale_factor", "r_fraction", "zeta", "n_sig", "analytic",
+                "protocol"}
+        assert {f.name for f in fields(Scenario)} | {"source", "preset"} == keys
+        for key in keys:
+            # a list is a bad value for every key, but not an unknown key
+            with pytest.raises(ValidationError) as info:
+                scenario_from_dict({key: [1]})
+            assert "unknown scenario fields" not in str(info.value), key
+        with pytest.raises(ValidationError, match="unknown scenario fields"):
+            scenario_from_dict({"output_format": "json"})
+
+    @pytest.mark.parametrize("params, message", [
+        ({"length": 3}, "length must be even"),
+        ({"trials": 10**7 + 1}, "trials must be at most"),
+        ({"e_bar": 0.4, "p_e": 0.3}, "needs e_bar < p_e"),
+    ])
+    def test_protocol_params_check_themselves(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            ProtocolParams(**params)
+
     @pytest.mark.parametrize("mode", ["sweep", ["analytic"]])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValidationError, match="mode must be one of"):
@@ -137,6 +167,19 @@ class TestRunModes:
             assert row["t_r_minutes"] * 60.0 * 1e9 == pytest.approx(
                 row["n_sig"], rel=1e-15
             )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_direct_scenario_runs(self, mode):
+        # a Scenario built from its defaults runs like the loaded config
+        config = {"mode": mode, "seed": 1 if MODES[mode] else None}
+        if mode == "montecarlo":
+            config["scale_factor"] = 1e6
+        source = presets.default_source_config()
+        direct = Scenario(source, source, presets.profile_for_preset("standard"), ErrorBudget(),
+                          **config)
+        code, payload = run(direct)
+        assert (code, payload) == run(scenario_from_dict(config))
+        assert code == (EXIT_INFEASIBLE if mode == "montecarlo" else EXIT_OK)
 
     def test_montecarlo_reduced_scale_completes(self):
         scenario = scenario_from_dict(
@@ -288,6 +331,8 @@ class TestCli:
             {"source_b": {"pulse_rate": 2e9}},
             {"protocol": {"e_bar": 0.4, "p_e": 0.3}},
             {"target_security": 1e-4},
+            {"preset": ["snspd"]},
+            {"preset": ""},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
