@@ -18,12 +18,15 @@ Nat. Commun. 5, 3732 (2014)).  The chain per Bell state k:
    errors ē_{k,1} from above.  Together they bound the single-photon phase
    error e_{k,1}.
 
-That is four programs per Bell state.  A Bell state whose Z counts, X counts
-and X error counts equal an earlier state's takes that state's program
-results instead of solving them again; the expected session of a symmetric
-link gives both Bell states the same counts, so it solves four programs in
-all.  All probability bookkeeping lives in ErrorBudget; every bound holds
-except with the probability recorded there.
+That is at most four programs per Bell state; a Bell state stops at its
+first failed check.  The two Z programs come first, the X single-pair
+program only if n_{k,1} > 0, and the joint error program only if
+floor(n̄_{k,1}) >= 1.  A Bell state whose Z counts, X counts and X error
+counts equal an earlier state's takes that state's program results instead
+of solving them again; the expected session of a symmetric link gives both
+Bell states the same counts, so it solves at most four programs in all.
+All probability bookkeeping lives in ErrorBudget; every bound holds except
+with the probability recorded there.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import presets
 from .entropy import chernoff_delta, mu_parameter, serfling_lambda, upsilon
@@ -195,13 +197,24 @@ def set_validity(set_sizes: np.ndarray, budget: ErrorBudget) -> tuple[bool, np.n
     return bool(flags.all()), flags
 
 
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first solve, so the run modes
+    that solve no program do not pay for importing scipy.optimize."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
     """Optimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps}; an
-    infinite cap leaves its variable unbounded.  Returns (x, value)."""
+    infinite cap leaves its variable unbounded.  Returns (x, value).
+
+    HiGHS presolve is off: on these small programs it costs a quarter to a
+    third of each solve."""
     cost = np.ravel(cost)
     bounds = np.column_stack((np.zeros_like(caps), caps))
     res = linprog(-cost if maximize else cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs")
+                  method="highs", options={"presolve": False})
     if res.status == 2:
         raise InfeasibleObservationsError(
             "observed set sizes admit no consistent photon-number population"
@@ -302,17 +315,29 @@ def serfling_scale(m_bound: float, z_size: int, n_half: int, eps: float) -> int:
     return max(math.floor(n_half * (m_bound / z_size) - n_half * lam), 0)
 
 
+def _require_code_bound(n_k1: int) -> None:
+    """Raise unless the code string has single-photon pairs to bound."""
+    if n_k1 <= 0:
+        raise DegenerateSessionError("n_k1 = 0: the code string carries no bound")
+
+
+def _transferable_pairs(n_bar_k1: float) -> int:
+    """floor(n_bar_k1), the X single pairs the phase error is transferred
+    from; raises when there is not one."""
+    n_bar = math.floor(n_bar_k1)
+    if n_bar < 1:
+        raise DegenerateSessionError("no single-photon X statistics to transfer")
+    return n_bar
+
+
 def upper_bound_e_k1(
     n_k1: int, n_bar_k1: float, e_bar_k1: float, budget: ErrorBudget
 ) -> float:
     """Single-photon phase-error rate bound transferred from the X basis,
     from its single-pair lower bound n_bar_k1 and error upper bound
     e_bar_k1."""
-    if n_k1 <= 0:
-        raise DegenerateSessionError("n_k1 = 0: the code string carries no bound")
-    n_bar = math.floor(n_bar_k1)
-    if n_bar < 1:
-        raise DegenerateSessionError("no single-photon X statistics to transfer")
+    _require_code_bound(n_k1)
+    n_bar = _transferable_pairs(n_bar_k1)
     count = n_k1 * (e_bar_k1 / n_bar) + (n_k1 + n_bar) * upsilon(
         n_k1, n_bar, budget.eps_ke_upsilon
     )
@@ -449,10 +474,13 @@ def estimate_yields(
     """Run the estimation chain for both announced Bell states.
 
     Bell states without enough data are marked unusable rather than raising,
-    because the session only aborts when every Bell state fails.  A Bell
-    state whose program inputs (Z counts, X counts, X error counts) equal an
-    earlier state's reuses its program results; its own e_obs is still
-    drawn, so the random stream does not depend on the reuse.
+    because the session only aborts when every Bell state fails.  Each Bell
+    state solves its programs in the order its checks read them and stops
+    at the first check that fails; a stopped state keeps n_bar_k1 and
+    e_bar_k1 at 0.0.  A Bell state whose program inputs (Z counts, X
+    counts, X error counts) equal an earlier state's reuses its program
+    results; its own e_obs is still drawn, so the random stream does not
+    depend on the reuse.
     """
     pop = photon_population(config_a, config_b)
     caps = {
@@ -487,9 +515,11 @@ def estimate_yields(
             est.m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
             est.n_k0 = serfling_scale(est.m_k0, size, est.n_half, budget.eps_k0_serfling)
             est.n_k1 = serfling_scale(est.m_k1, size, est.n_half, budget.eps_k1_serfling)
+            _require_code_bound(est.n_k1)
             x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
-            error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
             n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
+            _transferable_pairs(n_bar)
+            error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
             e_bar = _upper_bound_errors(
                 x_block, error_block, caps["X"], single, budget.eps_ke_x2
             )

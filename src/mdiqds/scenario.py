@@ -31,6 +31,19 @@ EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 
 
+def _check_section(section: str, params, integers=(), probabilities=()) -> None:
+    """Raise unless each field named in ``integers`` is a positive integer
+    and each one named in ``probabilities`` lies in [0, 1]."""
+    for key in integers:
+        value = getattr(params, key)
+        if not (value > 0 and value == int(value)):
+            raise ValidationError(f"{section} {key} must be a positive integer, got {value!r}")
+    for key in probabilities:
+        value = getattr(params, key)
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{section} {key} must lie in [0,1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticInputs:
     """Inputs of the analytic replay, by default the worked example's: the
@@ -42,6 +55,15 @@ class AnalyticInputs:
     r_k: int = 518_000
     e_obs: float = 0.0207
     h_min_target: float = 8.69e5
+
+    def __post_init__(self):
+        _check_section("analytic", self, integers=("n_k", "r_k"), probabilities=("e_obs",))
+        if not int(self.n_k) // 2 >= self.r_k:
+            raise ValidationError(f"analytic inputs need n_k // 2 >= r_k, got n_k={self.n_k!r}, "
+                                  f"r_k={self.r_k!r}")
+        if not self.h_min_target > 0:
+            raise ValidationError(f"analytic h_min_target must be positive, "
+                                  f"got {self.h_min_target!r}")
 
 
 # each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials
@@ -59,19 +81,13 @@ class ProtocolParams:
     trials: int = 10_000
 
     def __post_init__(self):
-        for key in ("length", "trials"):
-            value = getattr(self, key)
-            if not (value > 0 and value == int(value)):
-                raise ValidationError(f"protocol {key} must be a positive integer, got {value!r}")
+        _check_section("protocol", self, integers=("length", "trials"),
+                       probabilities=("honest_error", "e_bar", "p_e"))
         if self.length % 2 == 1:
             raise ValidationError(f"protocol length must be even, got {self.length!r}")
         if self.trials > _MAX_TRIALS:
             raise ValidationError(f"protocol trials must be at most {_MAX_TRIALS}, "
                                   f"got {self.trials!r}")
-        for key in ("honest_error", "e_bar", "p_e"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"protocol {key} must lie in [0,1], got {value!r}")
         if not self.e_bar < self.p_e:
             raise ValidationError("protocol scenario needs e_bar < p_e")
 

@@ -1,13 +1,14 @@
 """Estimation chain: Chernoff intervals, the population LP against a vertex
 oracle, Serfling scaling, and the phase-error transfer."""
 
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mdiqds import estimation
+from mdiqds import estimation, presets
 from mdiqds.entropy import chernoff_delta
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from mdiqds.estimation import (
@@ -22,6 +23,7 @@ from mdiqds.estimation import (
     photon_population,
     serfling_scale,
     single_pair_objective,
+    split_signal_set,
     true_error_upper_bound,
     upper_bound_e_k1,
     vacuum_objective,
@@ -29,6 +31,7 @@ from mdiqds.estimation import (
     _population_caps,
     _population_constraints,
     _solve_lp,
+    _upper_bound_errors,
 )
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
@@ -467,14 +470,34 @@ class TestEstimateYields:
             assert (est.r_k, est.n_k) == (6, 94)
 
     def test_four_lps_per_bell_state(self, rich_session, monkeypatch):
-        # m_k0, m_k1, n_bar_k1 and the joint error program, for both Bell states
+        # m_k0 and m_k1, then n_bar_k1 once n_k1 > 0, then the joint error
+        # program once floor(n_bar_k1) >= 1: four programs for a usable Bell
+        # state, fewer for one that stops at a check
+        expected = {None: 4, "no single-photon X statistics to transfer": 3,
+                    "n_k1 = 0: the code string carries no bound": 2}
         calls = []
         solve = estimation.linprog
         monkeypatch.setattr(
             estimation, "linprog", lambda *a, **k: calls.append(1) or solve(*a, **k)
         )
+        # signal-signal counts alone leave m_k1, and so n_k1, at zero
+        bare = np.zeros((2, 3, 3))
+        bare[:, 0, 0] = 5000
+        seen = set()
+        for sifted in (rich_session, make_sifted(bare, n_pulses=10**9)):
+            for bell in (0, 1):
+                # the other Bell state's set too small to split: it solves nothing
+                alone = copy.deepcopy(sifted)
+                alone.z_counts[1 - bell] = 0
+                calls.clear()
+                est = estimate_yields(alone, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET,
+                                      seed=3).estimates[bell]
+                assert len(calls) == expected[est.abort_reason], (bell, est.abort_reason)
+                seen.add(est.abort_reason)
+        assert seen == set(expected)
+        calls.clear()
         estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_equal_bell_states_share_programs(self, monkeypatch):
         # the expected session of a symmetric link gives both Bell states the
@@ -511,6 +534,53 @@ class TestEstimateYields:
         estimate()
         assert len(calls) == 8
 
+    @staticmethod
+    def _full_chain(sifted, bell, config, budget):
+        """One Bell state's estimate through all four programs, then the
+        phase-error transfer, with no check before the last program: m_k0,
+        m_k1, n_k0, n_k1 and e_k1 with usable and abort_reason."""
+        pop = photon_population(config, config)
+        caps = {basis: _population_caps(pop, budget,
+                                         sifted.n_pulses * pop.basis_pair_prob[basis])
+                for basis in ("Z", "X")}
+        single = single_pair_objective(pop)
+        size = int(sifted.z_counts[bell, 0, 0])
+        n_half = split_signal_set(size, presets.DEFAULT_R_FRACTION)[1] // 2
+        z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
+        m_k0 = _lower_bound(z_block, caps["Z"], vacuum_objective(pop), budget.eps_0)
+        m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
+        n_k0 = serfling_scale(m_k0, size, n_half, budget.eps_k0_serfling)
+        n_k1 = serfling_scale(m_k1, size, n_half, budget.eps_k1_serfling)
+        x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
+        error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
+        n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
+        e_bar = _upper_bound_errors(x_block, error_block, caps["X"], single, budget.eps_ke_x2)
+        try:
+            e_k1, usable, reason = upper_bound_e_k1(n_k1, n_bar, e_bar, budget), True, None
+        except DegenerateSessionError as exc:
+            e_k1, usable, reason = 1.0, False, str(exc)
+        return {"m_k0": m_k0, "m_k1": m_k1, "n_k0": n_k0, "n_k1": n_k1, "e_k1": e_k1,
+                "usable": usable, "abort_reason": reason}
+
+    def test_early_stop_matches_full_chain(self):
+        # standard's expected sessions from n_k1 = 0, through n_bar_k1 < 1,
+        # to its searched N_sig: stopping at the first failed check gives
+        # the estimate that solving all four programs gives
+        source = presets.default_source_config()
+        budget = ErrorBudget()
+        rates = ChannelTables(source, source,
+                              presets.profile_for_preset("standard")).expected_rates()
+        reasons = set()
+        for n_sig in (6.4e7, 1.0e9, 4.1e9, 1.6e10, 1.9357e11):
+            sifted = expected_sifted_data(rates, n_sig)
+            result = estimate_yields(sifted, source, source, budget)
+            for bell, est in result.estimates.items():
+                want = self._full_chain(sifted, bell, source, budget)
+                assert {name: getattr(est, name) for name in want} == want, (n_sig, bell)
+                reasons.add(est.abort_reason)
+        assert reasons == {None, "no single-photon X statistics to transfer",
+                           "n_k1 = 0: the code string carries no bound"}
+
     def test_failed_error_program_keeps_no_x_bounds(self, monkeypatch):
         # n_bar_k1 and e_bar_k1 are set together once both X programs have
         # solved; when the joint error program fails neither is, e_k1 keeps
@@ -538,12 +608,23 @@ class TestEstimateYields:
 
     def test_observed_method_more_conservative(self, rich_session):
         # charging every observed signal-signal X error to single photons
-        # never gives a tighter bound than the joint error LP
+        # never gives a tighter bound than the joint error LP; it is solved
+        # here for both Bell states, since estimate_yields skips it for a
+        # state that stops at an earlier check
         lp = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        pop = photon_population(DESK_CONFIG, DESK_CONFIG)
+        caps = _population_caps(pop, DESK_BUDGET,
+                                rich_session.n_pulses * pop.basis_pair_prob["X"])
         for bell in (0, 1):
             observed = float(rich_session.x_errors[bell, 0, 0])
             delta = chernoff_delta(observed, DESK_BUDGET.eps_ke_x2)
-            assert observed + delta >= lp.estimates[bell].e_bar_k1
+            blocks = [_population_constraints(counts[bell], pop, DESK_BUDGET)
+                      for counts in (rich_session.x_counts, rich_session.x_errors)]
+            e_bar = _upper_bound_errors(*blocks, caps, single_pair_objective(pop),
+                                        DESK_BUDGET.eps_ke_x2)
+            assert observed + delta >= e_bar
+            if lp.estimates[bell].usable:
+                assert lp.estimates[bell].e_bar_k1 == e_bar
 
     def test_serialization_field_names(self, rich_session):
         res = estimate_yields(

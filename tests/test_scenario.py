@@ -1,6 +1,9 @@
 """Scenario loading, orchestration, determinism, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +20,9 @@ from mdiqds.security import LINKS
 from mdiqds.scenario import (
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_VALIDATION,
     MODES,
+    AnalyticInputs,
     ProtocolParams,
     Scenario,
     read_scenario_file,
@@ -115,6 +120,21 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match=message):
             ProtocolParams(**params)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"n_k": -5}, "n_k must be a positive integer"),
+        ({"n_k": 8_900_000.5}, "n_k must be a positive integer"),
+        ({"r_k": 0}, "r_k must be a positive integer"),
+        ({"n_k": 10, "r_k": 6}, "need n_k // 2 >= r_k"),
+        ({"e_obs": 7}, "e_obs must lie in"),
+        ({"e_obs": -0.1}, "e_obs must lie in"),
+        ({"h_min_target": 0}, "h_min_target must be positive"),
+    ])
+    def test_analytic_inputs_check_themselves(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            AnalyticInputs(**params)
+        # the smallest split that holds is accepted, a JSON 1e3 as 1000
+        AnalyticInputs(n_k=1e3, r_k=500, e_obs=1.0, h_min_target=1e-9)
+
     @pytest.mark.parametrize("mode", ["sweep", ["analytic"]])
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValidationError, match="mode must be one of"):
@@ -180,6 +200,26 @@ class TestRunModes:
         code, payload = run(direct)
         assert (code, payload) == run(scenario_from_dict(config))
         assert code == (EXIT_INFEASIBLE if mode == "montecarlo" else EXIT_OK)
+
+    def test_scipy_imported_only_to_solve(self):
+        # the analytic, table-sweep and protocol modes solve no decoy program,
+        # so they never import scipy.optimize; a Monte-Carlo run does
+        script = "\n".join([
+            "import sys",
+            "from mdiqds.scenario import run, scenario_from_dict",
+            "def loaded(mode, **config):",
+            "    run(scenario_from_dict({'mode': mode, **config}))",
+            "    return 'scipy.optimize' in sys.modules",
+            "assert not loaded('analytic')",
+            "assert not loaded('table-sweep')",
+            "assert not loaded('protocol', seed=7, protocol={'trials': 2000})",
+            "assert loaded('montecarlo', seed=7, scale_factor=1e6)",
+        ])
+        package_root = str(Path(scenario_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_montecarlo_reduced_scale_completes(self):
         scenario = scenario_from_dict(
@@ -333,6 +373,12 @@ class TestCli:
             {"target_security": 1e-4},
             {"preset": ["snspd"]},
             {"preset": ""},
+            {"analytic": {"n_k": 8_900_000.5}},
+            {"analytic": {"r_k": 0}},
+            {"analytic": {"n_k": 10, "r_k": 6}},
+            {"analytic": {"e_obs": 7}},
+            {"analytic": {"e_obs": -0.1}},
+            {"analytic": {"h_min_target": 0}},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
@@ -341,6 +387,16 @@ class TestCli:
         result = CliRunner().invoke(main, ["analytic", "--config", str(path)])
         assert result.exit_code == 3, result.output
         assert "validation error" in result.output
+
+    @pytest.mark.parametrize("command", [["tables"], ["protocol", "--seed", "7"]])
+    def test_bad_analytic_section_rejected_in_every_mode(self, tmp_path, command):
+        # the analytic section checks itself, as the protocol section does,
+        # so a mode that does not read it still rejects it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"analytic": {"n_k": -5, "e_obs": 7}}))
+        result = CliRunner().invoke(main, [*command, "--config", str(path)])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        assert result.output.startswith("validation error: analytic n_k")
 
     def test_out_to_missing_directory(self, tmp_path, monkeypatch):
         # rejected before the scenario runs, so a simulation does not compute first
