@@ -25,6 +25,8 @@ floor(n̄_{k,1}) >= 1.  A Bell state whose Z counts, X counts and X error
 counts equal an earlier state's takes that state's program results instead
 of solving them again; the expected session of a symmetric link gives both
 Bell states the same counts, so it solves at most four programs in all.
+Each program is one direct call of the HiGHS dual simplex, without
+presolve, that gives the optimum scipy's ``linprog(method="highs")`` gives.
 All probability bookkeeping lives in ErrorBudget; every bound holds except
 with the probability recorded there.
 """
@@ -197,32 +199,75 @@ def set_validity(set_sizes: np.ndarray, budget: ErrorBudget) -> tuple[bool, np.n
     return bool(flags.all()), flags
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first solve, so the run modes
-    that solve no program do not pay for importing scipy.optimize."""
-    from scipy.optimize import linprog as solve
+# the options scipy's linprog(method="highs", options={"presolve": False})
+# gives HiGHS: silent, no presolve, dual simplex
+_HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1))
 
-    return solve(*args, **kwargs)
+# how far scipy's linprog lets a returned point break a bound or a row:
+# 10 * sqrt of its default tolerance 1e-9
+_POINT_TOL = 10 * math.sqrt(1e-9)
+
+
+def linprog(cost, a_ub, b_ub, caps):
+    """Minimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps} with one
+    HiGHS call.  Returns (status, x, value): HiGHS's model status name, and
+    the optimum and its value when the status is "Optimal" (else None).
+
+    The solver, options and model are those of scipy's
+    ``linprog(method="highs")``, the matrix column-wise in ``csc_array(a_ub)``
+    order (columns in order, row indices ascending, zeros dropped), so the
+    optimum is the same to the bit, without scipy's front end, which costs
+    several times the solve here.  The model goes in as arrays, because
+    ``HighsLp``'s matrix fields copy element by element from Python.  HiGHS
+    is imported on the first solve, so the run modes that solve no program
+    never import scipy.optimize."""
+    from scipy.optimize._highspy import _core as highs
+
+    num_row, num_col = a_ub.shape
+    nonzero = a_ub.T != 0
+    starts = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    solver = highs._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        solver.setOptionValue(name, value)
+    solver.passModel(
+        num_col, num_row, starts[-1], highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+        0.0, cost, np.zeros(num_col), np.minimum(caps, highs.kHighsInf),
+        np.full(num_row, -highs.kHighsInf), b_ub, starts, np.nonzero(nonzero)[1],
+        a_ub.T[nonzero], np.full(num_col, highs.HighsVarType.kContinuous.value),
+    )
+    solver.run()
+    status = solver.modelStatusToString(solver.getModelStatus())
+    if status != "Optimal":
+        return status, None, None
+    x = np.array(solver.getSolution().col_value)
+    return status, x, solver.getInfo().objective_function_value
 
 
 def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
     """Optimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps}; an
     infinite cap leaves its variable unbounded.  Returns (x, value).
 
-    HiGHS presolve is off: on these small programs it costs a quarter to a
-    third of each solve."""
+    HiGHS is called directly (``linprog``), with presolve off: on these
+    small programs presolve costs a quarter to a third of each solve.  The
+    returned point is checked as scipy's linprog checks it: no NaN, every
+    bound and row kept to within 10 * sqrt(1e-9)."""
     cost = np.ravel(cost)
-    bounds = np.column_stack((np.zeros_like(caps), caps))
-    res = linprog(-cost if maximize else cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs", options={"presolve": False})
-    if res.status == 2:
+    status, x, value = linprog(-cost if maximize else cost, a_ub, b_ub, caps)
+    if status == "Infeasible":
         raise InfeasibleObservationsError(
             "observed set sizes admit no consistent photon-number population"
         )
-    if not res.success:
-        raise InfeasibleObservationsError(f"population LP failed: {res.message}")
-    value = -res.fun if maximize else res.fun
-    return res.x, value
+    if x is None:
+        raise InfeasibleObservationsError(f"population LP failed: HiGHS model status {status}")
+    # a comparison with NaN is false, so a NaN coordinate fails these too
+    kept = ((x >= -_POINT_TOL).all() and (x <= caps + _POINT_TOL).all()
+            and (b_ub - a_ub @ x >= -_POINT_TOL).all() and not math.isnan(value))
+    if not kept:
+        raise InfeasibleObservationsError(
+            f"population LP failed: the solver's point breaks a bound or a row "
+            f"by more than {_POINT_TOL:.2e}"
+        )
+    return x, -value if maximize else value
 
 
 def _population_constraints(set_sizes: np.ndarray, pop: PhotonPopulation, budget: ErrorBudget):

@@ -64,6 +64,10 @@ class AnalyticInputs:
         if not self.h_min_target > 0:
             raise ValidationError(f"analytic h_min_target must be positive, "
                                   f"got {self.h_min_target!r}")
+        # the replay feeds h_min_target in as the vacuum count of the keep half
+        if not self.h_min_target <= int(self.n_k) // 2:
+            raise ValidationError(f"analytic h_min_target must be at most n_k // 2 = "
+                                  f"{int(self.n_k) // 2}, got {self.h_min_target!r}")
 
 
 # each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials

@@ -33,8 +33,10 @@ from mdiqds.estimation import (
     _solve_lp,
     _upper_bound_errors,
 )
+from mdiqds.scenario import run, scenario_from_dict
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
+from test_scenario import BRIGHT_LINK
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -282,6 +284,96 @@ class TestPopulationLP:
         truth = sd.population[0, 0, 0, 0, 1, 1]
         assert bound <= truth
         assert bound >= 0.85 * truth
+
+
+# the searched N_sig at 1e-4 of each detector preset
+SEARCHED_N_SIG = {"standard": 193570556600.58203, "ingaas-apd": 46340950011.841576,
+                  "ingaas-inp-apd": 3683127730631.186, "snspd": 57548870791.11228}
+
+
+def capture_programs(monkeypatch) -> list:
+    """Record the (cost, a_ub, b_ub, caps) of every program solved from here on."""
+    programs = []
+    solve = estimation.linprog
+
+    def capture(*program):
+        programs.append(program)
+        return solve(*program)
+
+    monkeypatch.setattr(estimation, "linprog", capture)
+    return programs
+
+
+class TestDirectSolve:
+    """``estimation.linprog`` calls HiGHS directly; ``_solve_lp`` keeps the
+    status and point checks of scipy's ``linprog``."""
+
+    def test_optimum_matches_scipy_linprog(self, monkeypatch):
+        # the decoy programs of the expected sessions at every preset's
+        # searched N_sig and of bright-link Monte-Carlo sessions: the same
+        # solver on the same model, so the same optimum to the bit
+        from scipy.optimize import linprog as scipy_linprog
+
+        solve = estimation.linprog
+        programs = capture_programs(monkeypatch)
+        source = presets.default_source_config()
+        for preset, n_sig in SEARCHED_N_SIG.items():
+            rates = ChannelTables(source, source, presets.profile_for_preset(preset)).expected_rates()
+            estimate_yields(expected_sifted_data(rates, n_sig), source, source, ErrorBudget())
+        expected_programs = len(programs)
+        run(scenario_from_dict({**BRIGHT_LINK, "seed": 1, "scale_factor": 3e4}))
+        assert expected_programs == 16 and len(programs) > expected_programs
+        for cost, a_ub, b_ub, caps in programs:
+            status, x, value = solve(cost, a_ub, b_ub, caps)
+            ref = scipy_linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                                bounds=np.column_stack((np.zeros_like(caps), caps)),
+                                method="highs", options={"presolve": False})
+            assert status == "Optimal" and ref.success
+            assert value == ref.fun
+            assert np.array_equal(x, ref.x)
+
+    def test_caps_below_a_lower_row_infeasible(self):
+        # every set needs photon pairs that zero caps do not allow
+        pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
+        budget = ErrorBudget()
+        block = _population_constraints(np.full((3, 3), 1e6), pop, budget)
+        with pytest.raises(InfeasibleObservationsError,
+                           match="^observed set sizes admit no consistent photon-number "
+                                 "population$"):
+            _lower_bound(block, np.zeros(11 * 11), vacuum_objective(pop), budget.eps_0)
+
+    def test_unbounded_program_fails(self):
+        # an uncapped variable that the objective drives to infinity
+        with pytest.raises(InfeasibleObservationsError, match="^population LP failed: "):
+            _solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.zeros(1), np.full(1, np.inf))
+
+    # max x0 over {x0 - x1 <= 1, x1 <= 0.5, 0 <= x0 <= 1, 0 <= x1 <= 2},
+    # and points the solver might return instead of its optimum
+    PROGRAM = (np.array([1.0, 0.0]), np.array([[1.0, -1.0], [0.0, 1.0]]),
+               np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("point, kept", [
+        ((1.0, 0.5 + 1e-3), False),   # breaks the row x1 <= 0.5 by 1e-3
+        ((1.0, 0.5 + 1e-4), True),    # within scipy's tolerance 10 * sqrt(1e-9)
+        ((1.0 + 1e-3, 1e-3), False),  # breaks the cap x0 <= 1 by 1e-3
+        ((0.5, -1e-3), False),        # breaks x1 >= 0 by 1e-3
+        ((np.nan, 0.0), False),
+    ])
+    def test_point_checked_against_rows_and_bounds(self, monkeypatch, point, kept):
+        solve = estimation.linprog
+
+        def moved(*program):
+            status, _, value = solve(*program)
+            return status, np.array(point), value
+
+        monkeypatch.setattr(estimation, "linprog", moved)
+        if kept:
+            x, value = _solve_lp(*self.PROGRAM, maximize=True)
+            assert (tuple(x), value) == (point, 1.0)
+        else:
+            with pytest.raises(InfeasibleObservationsError,
+                               match="^population LP failed: the solver's point breaks"):
+                _solve_lp(*self.PROGRAM, maximize=True)
 
 
 class TestSerflingScale:

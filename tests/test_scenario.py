@@ -128,6 +128,7 @@ class TestScenarioLoading:
         ({"e_obs": 7}, "e_obs must lie in"),
         ({"e_obs": -0.1}, "e_obs must lie in"),
         ({"h_min_target": 0}, "h_min_target must be positive"),
+        ({"n_k": 1000, "r_k": 500, "h_min_target": 501}, "h_min_target must be at most"),
     ])
     def test_analytic_inputs_check_themselves(self, params, message):
         with pytest.raises(ValidationError, match=message):
@@ -379,6 +380,7 @@ class TestCli:
             {"analytic": {"e_obs": 7}},
             {"analytic": {"e_obs": -0.1}},
             {"analytic": {"h_min_target": 0}},
+            {"analytic": {"h_min_target": 1e12}},
         ],
     )
     def test_bad_config_exit_code(self, tmp_path, config):
