@@ -527,3 +527,15 @@ class TestReadmeOutputs:
             return [header, *([label, name, *map(float, rest)] for label, name, *rest in fields)]
 
         _assert_matches(rows(result.output), rows((GOLDEN / "tables.csv").read_text()))
+
+    def test_montecarlo_rescales_the_longer_link(self):
+        # the links' code strings differ (95,172 and 95,246 bits), so the
+        # Alice-Charlie counts are rescaled to the shorter one, and that link
+        # sets h_min
+        code, payload = run(scenario_from_dict({**BRIGHT_LINK, "seed": 0, "scale_factor": 3e4}))
+        assert code == EXIT_OK
+        payload = json.loads(render_report(payload))
+        want = json.loads((GOLDEN / "montecarlo.json").read_text())
+        selected = [payload["yield_estimates"][link]["0"]["n_k"] for link in LINKS]
+        assert selected == [95_172, 95_246] and payload["security"]["n_k"] == 95_172
+        _assert_matches(payload, want)
