@@ -12,7 +12,7 @@ from .errors import (
     InfeasibleObservationsError,
     ValidationError,
 )
-from .estimation import ErrorBudget, YieldEstimate, estimate_yields
+from .estimation import ErrorBudget, LinkBound, YieldEstimate, estimate_yields
 from .security import SecurityReport, build_security_report, signature_length_search
 from .session import ChannelTables, SiftedData, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
@@ -27,6 +27,7 @@ __all__ = [
     "ErrorBudget",
     "InfeasibleBoundsError",
     "InfeasibleObservationsError",
+    "LinkBound",
     "SecurityReport",
     "SiftedData",
     "SystemProfile",

@@ -468,6 +468,21 @@ class YieldEstimate:
         return out
 
 
+@dataclass(frozen=True)
+class LinkBound:
+    """What the security report needs from one link: its selected Bell state
+    and honest error bound E_bar (``e_upper``), and its vacuum and single
+    pair counts and single-pair phase error on the keep half that both links
+    sign with."""
+
+    bell: int
+    e_upper: float
+    n_k0: int
+    n_k1: int
+    e_k1: float
+    validity_ok: bool
+
+
 @dataclass
 class EstimationResult:
     """One link's estimates: per Bell state, its YieldEstimate and the size
@@ -480,14 +495,25 @@ class EstimationResult:
     def usable(self) -> bool:
         return any(est.usable for est in self.estimates.values())
 
-    def selected(self) -> tuple[YieldEstimate, int]:
-        """(estimate, |Z_ss|) of the usable Bell state whose code string has
-        the smallest phase error."""
+    def selected(self) -> YieldEstimate:
+        """The usable Bell state whose code string has the smallest phase
+        error."""
         usable = [est for est in self.estimates.values() if est.usable]
         if not usable:
             raise DegenerateSessionError("no Bell state produced a usable bound")
-        est = min(usable, key=lambda est: est.e_k1)
-        return est, self.z_sizes[est.bell]
+        return min(usable, key=lambda est: est.e_k1)
+
+    def link_bound(self, n_half: int) -> LinkBound:
+        """The selected Bell state's bounds on a keep half of ``n_half``
+        bits: its own counts at its own half; on a shorter half, the set's
+        vacuum and single-pair bounds Serfling-rescaled to it."""
+        est = self.selected()
+        n_k0, n_k1 = est.n_k0, est.n_k1
+        if n_half != est.n_half:
+            z_size, budget = self.z_sizes[est.bell], est.budget
+            n_k0 = serfling_scale(est.m_k0, z_size, n_half, budget.eps_k0_serfling)
+            n_k1 = serfling_scale(est.m_k1, z_size, n_half, budget.eps_k1_serfling)
+        return LinkBound(est.bell, est.e_upper, n_k0, n_k1, est.e_k1, est.validity_ok)
 
     def to_dict(self) -> dict:
         return {str(bell): est.to_dict() for bell, est in self.estimates.items()}

@@ -15,7 +15,7 @@ from .errors import (
     InfeasibleBoundsError,
     ValidationError,
 )
-from .estimation import ErrorBudget, YieldEstimate, estimate_yields, true_error_upper_bound
+from .estimation import ErrorBudget, LinkBound, estimate_yields, true_error_upper_bound
 from .security import (LINKS, build_security_report, choose_thresholds, link_report,
                        repudiation_bound)
 from .session import ChannelTables, run_kgp_session
@@ -233,25 +233,14 @@ def run_analytic(scenario: Scenario) -> tuple[int, dict]:
     params = scenario.analytic
     budget = scenario.budget
     n_k = int(params.n_k)
-    r_k = int(params.r_k)
-    n_half = n_k // 2
-    est = YieldEstimate(
-        bell=0,
-        budget=budget,
-        n_k=n_k,
-        r_k=r_k,
-        e_obs=float(params.e_obs),
-        e_upper=true_error_upper_bound(float(params.e_obs), n_half, r_k, budget.eps_pe),
-        # recover the count rate from the published min-entropy: feed it
-        # entirely through the vacuum term, which the entropy bound treats
-        # identically to any split with e_k1 = 0
-        n_k0=round(float(params.h_min_target)),
-        e_k1=0.0,
-        validity_ok=True,
-        usable=True,
-    )
+    e_upper = true_error_upper_bound(float(params.e_obs), n_k // 2, int(params.r_k),
+                                     budget.eps_pe)
+    # the published min-entropy enters as the keep half's vacuum count: with
+    # no single pairs, the entropy bound's approximation is that count
+    link = LinkBound(bell=0, e_upper=e_upper, n_k0=round(float(params.h_min_target)),
+                     n_k1=0, e_k1=0.0, validity_ok=True)
     report = build_security_report(
-        dict.fromkeys(LINKS, (est, n_k + r_k)), budget, n_sig=scenario.n_sig,
+        dict.fromkeys(LINKS, link), n_k, budget, n_sig=scenario.n_sig,
         pulse_rate=scenario.source_b.pulse_rate, zeta=scenario.zeta,
     )
     payload = {"mode": scenario.mode, "security": report.to_dict()}

@@ -1,6 +1,10 @@
 """Security quantities: min-entropy, forging and repudiation bounds,
 thresholds, feasibility, and the comparison against full key distillation.
 
+The report reads one ``LinkBound`` per key-generation link, its bounds on
+the keep half that both links sign with.  How an estimate becomes those
+bounds is decided in ``estimation``; the analytic replay gives them directly.
+
 Count rates come in two printed conventions and both appear in reports:
 ``c_k0``/``c_k1`` are the keep-half rates 2*n_{k,i}/n_k used by the forging
 exponent and the adversarial error floor, while ``c_k0_sifted``/
@@ -26,9 +30,8 @@ from .errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from .estimation import (
     ErrorBudget,
     EstimationResult,
-    YieldEstimate,
+    LinkBound,
     estimate_yields,
-    serfling_scale,
     split_signal_set,
 )
 from .session import ChannelTables, expected_sifted_data
@@ -223,24 +226,24 @@ class SecurityReport:
 
 
 def build_security_report(
-    per_kgp: dict[str, tuple[YieldEstimate, int]],
+    links: dict[str, LinkBound],
+    n_k: int,
     budget: ErrorBudget,
     n_sig: float,
     pulse_rate: float,
     zeta: float = presets.DEFAULT_ZETA,
 ) -> SecurityReport:
-    """Combine the two key-generation sessions into protocol security bounds.
+    """Combine the key-generation links' bounds into protocol security bounds.
 
-    ``per_kgp`` maps a session name to (selected-bell estimate, |Z_ss| of
-    that Bell state).  The signature length is the largest even length both
-    sessions support; Serfling bounds are rescaled to that common length.
-    The honest error bound is the worst of the two sessions and the
-    adversarial floor the best an adversary could face, so the report is
-    valid for forging by either recipient.
+    ``links`` maps a link name to its bounds on the keep half of the common
+    code string of ``n_k`` bits (rounded down to even).  Raises DomainError,
+    naming the link, when a link's vacuum and single-pair counts exceed that
+    half, since they are disjoint parts of it.  The honest error bound is
+    the worst of the links and the adversarial floor the best an adversary
+    could face, so the report is valid for forging by either recipient.
     """
-    if not per_kgp:
+    if not links:
         raise DegenerateSessionError("no key-generation sessions provided")
-    n_k = min(est.n_k for est, _ in per_kgp.values())
     n_k -= n_k % 2
     if n_k < 2:
         raise DegenerateSessionError("sessions produced no usable code string")
@@ -252,31 +255,29 @@ def build_security_report(
         pulse_rate=pulse_rate,
         zeta=zeta,
     )
-    links = []  # (p_E, E_bar, n_k0, n_k1, e_k1) of each session
-    for name, (est, z_size) in per_kgp.items():
-        if n_half == est.n_half:
-            n_k0, n_k1 = est.n_k0, est.n_k1
-        else:
-            # the common code string is shorter than this session's; rescale
-            n_k0 = serfling_scale(est.m_k0, z_size, n_half, budget.eps_k0_serfling)
-            n_k1 = serfling_scale(est.m_k1, z_size, n_half, budget.eps_k1_serfling)
-        p_e, clamped = solve_p_e(2.0 * n_k0 / n_k, 2.0 * n_k1 / n_k, est.e_k1)
+    floors = []  # (p_E, bound) of each link
+    for name, link in links.items():
+        # in integers: c_k0 + c_k1 <= 1 in floats can round past 1
+        if link.n_k0 + link.n_k1 > n_half:
+            raise DomainError(f"{name}: n_k0 + n_k1 = {link.n_k0} + {link.n_k1} exceeds "
+                              f"the keep half of {n_half} bits")
+        p_e, clamped = solve_p_e(2.0 * link.n_k0 / n_k, 2.0 * link.n_k1 / n_k, link.e_k1)
         report.p_E_clamped |= clamped
-        links.append((p_e, est.e_upper, n_k0, n_k1, est.e_k1))
-        report.bell[name] = est.bell
-        report.validity_ok &= est.validity_ok
+        floors.append((p_e, link))
+        report.bell[name] = link.bell
+        report.validity_ok &= link.validity_ok
 
-    report.E_bar = max(link[1] for link in links)
-    # the session with the lowest adversarial floor sets every entropy term
-    report.p_E, _, n_k0, n_k1, e_k1 = min(links, key=lambda link: link[0])
-    report.e_k1 = e_k1
+    report.E_bar = max(link.e_upper for link in links.values())
+    # the link with the lowest adversarial floor sets every entropy term
+    report.p_E, link = min(floors, key=lambda floor: floor[0])
+    report.e_k1 = link.e_k1
     report.h_min, report.h_min_approx = min_entropy_bound(
-        n_k0, n_k1, e_k1, budget.eps_k_prime, budget.eps_k_hat
+        link.n_k0, link.n_k1, link.e_k1, budget.eps_k_prime, budget.eps_k_hat
     )
-    report.c_k0 = 2.0 * n_k0 / n_k
-    report.c_k1 = 2.0 * n_k1 / n_k
-    report.c_k0_sifted = n_k0 / n_k
-    report.c_k1_sifted = n_k1 / n_k
+    report.c_k0 = 2.0 * link.n_k0 / n_k
+    report.c_k1 = 2.0 * link.n_k1 / n_k
+    report.c_k0_sifted = link.n_k0 / n_k
+    report.c_k1_sifted = link.n_k1 / n_k
 
     report.pr_honest_abort = honest_abort_bound(budget.eps_pe)
     try:
@@ -300,7 +301,7 @@ def build_security_report(
         n_k,
         report.c_k0_sifted,
         report.c_k1_sifted,
-        e_k1,
+        link.e_k1,
         report.E_bar,
         zeta,
         budget,
@@ -317,16 +318,19 @@ def link_report(
     zeta: float = presets.DEFAULT_ZETA,
 ) -> SecurityReport:
     """The security report of the links' estimates: each link's selected
-    Bell state, and every link's per-Bell estimates in ``per_bell``.  Raises
+    Bell state, bounded on the keep half of the shorter code string, and
+    every link's per-Bell estimates in ``per_bell``.  Raises
     DegenerateSessionError, prefixed with the link's name, at the first link
     that has no usable Bell state."""
-    per_kgp = {}
+    code_strings = []
     for name, result in results.items():
         try:
-            per_kgp[name] = result.selected()
+            code_strings.append(result.selected().n_k)
         except DegenerateSessionError as exc:
             raise DegenerateSessionError(f"{name}: {exc}") from exc
-    report = build_security_report(per_kgp, budget, n_sig, pulse_rate, zeta)
+    n_k = min(code_strings)
+    links = {name: result.link_bound(n_k // 2) for name, result in results.items()}
+    report = build_security_report(links, n_k, budget, n_sig, pulse_rate, zeta)
     report.per_bell = {name: result.to_dict() for name, result in results.items()}
     return report
 

@@ -13,6 +13,7 @@ from mdiqds.entropy import chernoff_delta
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from mdiqds.estimation import (
     ErrorBudget,
+    LinkBound,
     PhotonPopulation,
     chernoff_interval,
     check_validity,
@@ -503,21 +504,46 @@ def rich_session():
     return run_kgp_session(tables, 20_000_000, seed=12)
 
 
+@pytest.fixture(scope="module")
+def published_session():
+    """The expected session at the published operating point, 5.58e12
+    pulses, and its estimates."""
+    rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
+    sd = expected_sifted_data(rt, 5.58e12)
+    return sd, estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
+
+
 class TestEstimateYields:
-    def test_full_chain_usable_at_scale(self):
+    def test_full_chain_usable_at_scale(self, published_session):
         # the phase-error transfer needs set sizes a desk run cannot reach;
         # exercise it on the deterministic expected-count session
-        rt = ChannelTables(
-            PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE
-        ).expected_rates()
-        sd = expected_sifted_data(rt, 5.58e12)
-        res = estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
-        est, z_size = res.selected()
-        assert z_size == int(sd.z_counts[est.bell, 0, 0])
+        sd, res = published_session
+        est = res.selected()
+        assert res.z_sizes[est.bell] == int(sd.z_counts[est.bell, 0, 0])
         assert est.usable
         assert est.n_k1 > 0
         assert 0.0 < est.e_k1 < 1.0
         assert est.e_upper > est.e_obs
+
+    def test_link_bound_rescales_to_a_shorter_half(self, published_session):
+        # at its own half a link keeps its counts; on a shorter one, the
+        # set's bounds m_k0, m_k1 are Serfling-scaled from |Z_ss| to it
+        _, res = published_session
+        est, budget = res.selected(), ErrorBudget()
+        assert res.link_bound(est.n_half) == LinkBound(
+            est.bell, est.e_upper, est.n_k0, est.n_k1, est.e_k1, est.validity_ok
+        )
+        z_size = res.z_sizes[est.bell]
+        for n_half in (est.n_half - 1, est.n_half // 2):
+            bound = res.link_bound(n_half)
+            assert (bound.n_k0, bound.n_k1) == (
+                serfling_scale(est.m_k0, z_size, n_half, budget.eps_k0_serfling),
+                serfling_scale(est.m_k1, z_size, n_half, budget.eps_k1_serfling),
+            )
+            assert bound.n_k0 <= est.n_k0 and 0 < bound.n_k1 < est.n_k1
+            assert (bound.bell, bound.e_upper, bound.e_k1, bound.validity_ok) == (
+                est.bell, est.e_upper, est.e_k1, est.validity_ok
+            )
 
     def test_bounds_respect_ground_truth(self, rich_session):
         res = estimate_yields(

@@ -508,7 +508,9 @@ def _assert_matches(got, want, where="report"):
 
 
 class TestReadmeOutputs:
-    """The README's deterministic commands against their stored stdout."""
+    """The README's deterministic commands, and one feasible Monte-Carlo run
+    whose links give code strings of different lengths, against their
+    stored output."""
 
     def test_analytic(self):
         result = CliRunner().invoke(main, ["analytic"])

@@ -1,5 +1,6 @@
 """Security bounds: worked-example values, small-case oracles, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleBoundsE
 from mdiqds.estimation import (
     ErrorBudget,
     EstimationResult,
+    LinkBound,
     YieldEstimate,
     estimate_yields,
     true_error_upper_bound,
@@ -50,28 +52,17 @@ PUBLISHED_PROFILE = SystemProfile(
 )
 
 
-def replay_estimate(n_k=8_900_000, r_k=518_000, e_obs=0.0207, h_target=8.69e5):
-    """Estimate carrying the count rates recovered from the published
-    min-entropy, for analytic replays."""
-    n_half = n_k // 2
-    return YieldEstimate(
-        bell=0,
-        budget=BUDGET,
-        n_k=n_k,
-        r_k=r_k,
-        e_obs=e_obs,
-        e_upper=true_error_upper_bound(e_obs, n_half, r_k, BUDGET.eps_pe),
-        n_k0=round(h_target),
-        e_k1=0.0,
-        validity_ok=True,
-        usable=True,
-    )
+def replay_bound(n_k=8_900_000, r_k=518_000, e_obs=0.0207, h_target=8.69e5):
+    """The bounds of the analytic replay: the published min-entropy as the
+    keep half's vacuum count."""
+    e_upper = true_error_upper_bound(e_obs, n_k // 2, r_k, BUDGET.eps_pe)
+    return LinkBound(bell=0, e_upper=e_upper, n_k0=round(h_target), n_k1=0, e_k1=0.0,
+                     validity_ok=True)
 
 
-def replay_report(**kwargs):
-    est = replay_estimate(**kwargs)
-    per_kgp = dict.fromkeys(LINKS, (est, est.n_k + est.r_k))
-    return build_security_report(per_kgp, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
+def replay_report(n_k=8_900_000, **kwargs):
+    links = dict.fromkeys(LINKS, replay_bound(n_k, **kwargs))
+    return build_security_report(links, n_k, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
 
 
 class TestMinEntropy:
@@ -267,24 +258,35 @@ class TestSecurityReport:
                                      "pr_forge")] == [1.0] * 4
 
     def test_infeasible_report(self):
-        est = replay_estimate(e_obs=0.2)
-        per_kgp = {"alice_bob": (est, est.n_k + est.r_k)}
-        report = build_security_report(per_kgp, BUDGET, n_sig=1e12, pulse_rate=1e9)
+        links = {"alice_bob": replay_bound(e_obs=0.2)}
+        report = build_security_report(links, 8_900_000, BUDGET, n_sig=1e12, pulse_rate=1e9)
         assert not report.feasible
         assert report.infeasible_reason is not None
 
+    def test_keep_half_holds_vacuum_and_single_pairs(self):
+        # n_k0 + n_k1 may fill the keep half of the (even) code string, not
+        # pass it; the link that breaks it is named
+        n_k, n_half = 8_900_001, 4_450_000
+        full = dataclasses.replace(replay_bound(), n_k0=n_half - 1_000_000, n_k1=1_000_000)
+        links = dict.fromkeys(LINKS, full)
+        report = build_security_report(links, n_k, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
+        assert report.h_min_approx == n_half
+        links["alice_charlie"] = dataclasses.replace(full, n_k1=full.n_k1 + 1)
+        with pytest.raises(DomainError, match="^alice_charlie: n_k0 \\+ n_k1 = "):
+            build_security_report(links, n_k, BUDGET, n_sig=5.58e12, pulse_rate=1e9)
+
 
 def link_result(usable=(True, False), e_k1=(0.0, 0.0)):
-    """A hand-built link: replay estimates for both Bell states, with the
-    given usable flags and phase errors; Bell 1's Z_ss set is one bit
-    larger, so the selected set size shows which state was taken."""
-    estimates = {}
-    for bell in (0, 1):
-        estimates[bell] = replay_estimate()
-        estimates[bell].bell = bell
-        estimates[bell].usable = usable[bell]
-        estimates[bell].e_k1 = e_k1[bell]
-    size = estimates[0].n_k + estimates[0].r_k
+    """A hand-built link whose Bell states carry the replay's bounds, with
+    the given usable flags and phase errors."""
+    bound = replay_bound()
+    estimates = {
+        bell: YieldEstimate(bell=bell, budget=BUDGET, n_k=8_900_000, r_k=518_000,
+                            e_obs=0.0207, e_upper=bound.e_upper, n_k0=bound.n_k0,
+                            e_k1=e_k1[bell], validity_ok=True, usable=usable[bell])
+        for bell in (0, 1)
+    }
+    size = 8_900_000 + 518_000
     return EstimationResult(estimates=estimates, z_sizes={0: size, 1: size + 1})
 
 
@@ -302,12 +304,13 @@ class TestLinkReport:
 
     def test_selects_smallest_phase_error(self):
         result = link_result((True, True), e_k1=(0.02, 0.01))
-        est, z_size = result.selected()
-        assert (est.bell, z_size) == (1, result.z_sizes[1])
+        assert result.selected() is result.estimates[1]
+        assert result.link_bound(4_450_000) == dataclasses.replace(replay_bound(), bell=1,
+                                                                    e_k1=0.01)
         report = link_report(dict.fromkeys(LINKS, result), BUDGET, 5.58e12, 1e9)
         assert report.bell == dict.fromkeys(LINKS, 1)
         # an unusable state is never selected, however small its phase error
-        assert link_result((False, True), e_k1=(0.0, 0.5)).selected()[0].bell == 1
+        assert link_result((False, True), e_k1=(0.0, 0.5)).selected().bell == 1
 
     @pytest.mark.parametrize("failing", LINKS)
     def test_names_first_link_without_usable_state(self, failing):
