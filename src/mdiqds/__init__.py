@@ -12,7 +12,7 @@ from .errors import (
     InfeasibleObservationsError,
     ValidationError,
 )
-from .estimation import ErrorBudget, LinkBound, YieldEstimate, estimate_yields
+from .estimation import DecoyPrograms, ErrorBudget, LinkBound, YieldEstimate, estimate_yields
 from .security import SecurityReport, build_security_report, signature_length_search
 from .session import ChannelTables, SiftedData, run_kgp_session
 from .sources import DecoySourceConfig, SystemProfile
@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelTables",
+    "DecoyPrograms",
     "DecoySourceConfig",
     "DegenerateSessionError",
     "DomainError",

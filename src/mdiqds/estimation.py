@@ -25,8 +25,16 @@ floor(n̄_{k,1}) >= 1.  A Bell state whose Z counts, X counts and X error
 counts equal an earlier state's takes that state's program results instead
 of solving them again; the expected session of a symmetric link gives both
 Bell states the same counts, so it solves at most four programs in all.
-Each program is one direct call of the HiGHS dual simplex, without
-presolve, that gives the optimum scipy's ``linprog(method="highs")`` gives.
+
+The programs are values (``DecoyPrograms``), built once per source pair
+and kept for a whole length search or Monte-Carlo run: the photon
+population, the two objectives, and one HiGHS model per constraint matrix.
+A basis block's matrix depends only on which of its sets were observed, so
+the Z and X blocks share one; the joint error program's depends on its two
+blocks' sets.  A solve changes a kept model's cost, caps and right-hand
+side and runs the HiGHS dual simplex cold, without presolve, to the optimum
+scipy's ``linprog(method="highs")`` gives.
+
 All probability bookkeeping lives in ErrorBudget; every bound holds except
 with the probability recorded there.
 """
@@ -208,43 +216,72 @@ _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"), ("simplex_strateg
 _POINT_TOL = 10 * math.sqrt(1e-9)
 
 
-def linprog(cost, a_ub, b_ub, caps):
-    """Minimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps} with one
-    HiGHS call.  Returns (status, x, value): HiGHS's model status name, and
-    the optimum and its value when the status is "Optimal" (else None).
+class ConstraintMatrix:
+    """The rows A_ub of programs min cost @ x over {A_ub @ x <= b_ub,
+    0 <= x <= caps} that differ only in cost, b_ub and caps, and the HiGHS
+    model that ``linprog`` keeps for them (none before the first solve)
+    with the right-hand side it holds."""
 
-    The solver, options and model are those of scipy's
-    ``linprog(method="highs")``, the matrix column-wise in ``csc_array(a_ub)``
-    order (columns in order, row indices ascending, zeros dropped), so the
-    optimum is the same to the bit, without scipy's front end, which costs
-    several times the solve here.  The model goes in as arrays, because
-    ``HighsLp``'s matrix fields copy element by element from Python.  HiGHS
-    is imported on the first solve, so the run modes that solve no program
-    never import scipy.optimize."""
+    def __init__(self, a_ub: np.ndarray):
+        self.a_ub = a_ub
+        self.solver = None
+        self.b_ub = None
+
+
+def linprog(cost, matrix: ConstraintMatrix, b_ub, caps):
+    """Minimize cost @ x over {matrix.a_ub @ x <= b_ub, 0 <= x <= caps} with
+    one HiGHS run.  Returns (status, x, value): HiGHS's model status name,
+    and the optimum and its value when the status is "Optimal" (else None).
+
+    The first solve of a matrix passes HiGHS the solver, options and model
+    of scipy's ``linprog(method="highs")``, the matrix column-wise in
+    ``csc_array(a_ub)`` order (columns in order, row indices ascending,
+    zeros dropped), so the optimum is the same to the bit, without scipy's
+    front end, which costs several times the solve here.  The model goes in
+    as arrays, because ``HighsLp``'s matrix fields copy element by element
+    from Python.  Later solves keep the matrix's model and set its cost and
+    caps and the rows whose right-hand side differs in any bit, which spares
+    the matrix conversion and solver set-up that cost about as much as the
+    run.  Each run ends by clearing the solver's basis and status, failed
+    runs too, so the next one is cold and gives the bits of a fresh model.
+    HiGHS is imported on the first solve, so the run modes that solve no
+    program never import scipy.optimize."""
     from scipy.optimize._highspy import _core as highs
 
-    num_row, num_col = a_ub.shape
-    nonzero = a_ub.T != 0
-    starts = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    solver = highs._Highs()
-    for name, value in _HIGHS_OPTIONS:
-        solver.setOptionValue(name, value)
-    solver.passModel(
-        num_col, num_row, starts[-1], highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
-        0.0, cost, np.zeros(num_col), np.minimum(caps, highs.kHighsInf),
-        np.full(num_row, -highs.kHighsInf), b_ub, starts, np.nonzero(nonzero)[1],
-        a_ub.T[nonzero], np.full(num_col, highs.HighsVarType.kContinuous.value),
-    )
+    num_row, num_col = matrix.a_ub.shape
+    upper = np.minimum(caps, highs.kHighsInf)
+    solver = matrix.solver
+    if solver is None:
+        nonzero = matrix.a_ub.T != 0
+        starts = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+        solver = matrix.solver = highs._Highs()
+        for name, value in _HIGHS_OPTIONS:
+            solver.setOptionValue(name, value)
+        solver.passModel(
+            num_col, num_row, starts[-1], highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize, 0.0, cost, np.zeros(num_col), upper,
+            np.full(num_row, -highs.kHighsInf), b_ub, starts, np.nonzero(nonzero)[1],
+            matrix.a_ub.T[nonzero], np.full(num_col, highs.HighsVarType.kContinuous.value),
+        )
+    else:
+        columns = np.arange(num_col, dtype=np.int32)
+        solver.changeColsCost(num_col, columns, cost)
+        solver.changeColsBounds(num_col, columns, np.zeros(num_col), upper)
+        for row in np.flatnonzero(b_ub.view(np.int64) != matrix.b_ub.view(np.int64)):
+            solver.changeRowBounds(int(row), -highs.kHighsInf, b_ub[row])
+    matrix.b_ub = b_ub.copy()
     solver.run()
     status = solver.modelStatusToString(solver.getModelStatus())
-    if status != "Optimal":
-        return status, None, None
-    x = np.array(solver.getSolution().col_value)
-    return status, x, solver.getInfo().objective_function_value
+    x = value = None
+    if status == "Optimal":
+        x = np.array(solver.getSolution().col_value)
+        value = solver.getInfo().objective_function_value
+    solver.clearSolver()
+    return status, x, value
 
 
-def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
-    """Optimize cost @ x over {a_ub @ x <= b_ub, 0 <= x <= caps}; an
+def _solve_lp(cost, matrix: ConstraintMatrix, b_ub, caps, maximize: bool = False):
+    """Optimize cost @ x over {matrix.a_ub @ x <= b_ub, 0 <= x <= caps}; an
     infinite cap leaves its variable unbounded.  Returns (x, value).
 
     HiGHS is called directly (``linprog``), with presolve off: on these
@@ -252,7 +289,7 @@ def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
     returned point is checked as scipy's linprog checks it: no NaN, every
     bound and row kept to within 10 * sqrt(1e-9)."""
     cost = np.ravel(cost)
-    status, x, value = linprog(-cost if maximize else cost, a_ub, b_ub, caps)
+    status, x, value = linprog(-cost if maximize else cost, matrix, b_ub, caps)
     if status == "Infeasible":
         raise InfeasibleObservationsError(
             "observed set sizes admit no consistent photon-number population"
@@ -261,7 +298,7 @@ def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
         raise InfeasibleObservationsError(f"population LP failed: HiGHS model status {status}")
     # a comparison with NaN is false, so a NaN coordinate fails these too
     kept = ((x >= -_POINT_TOL).all() and (x <= caps + _POINT_TOL).all()
-            and (b_ub - a_ub @ x >= -_POINT_TOL).all() and not math.isnan(value))
+            and (b_ub - matrix.a_ub @ x >= -_POINT_TOL).all() and not math.isnan(value))
     if not kept:
         raise InfeasibleObservationsError(
             f"population LP failed: the solver's point breaks a bound or a row "
@@ -270,26 +307,24 @@ def _solve_lp(cost, a_ub, b_ub, caps, maximize: bool = False):
     return x, -value if maximize else value
 
 
-def _population_constraints(set_sizes: np.ndarray, pop: PhotonPopulation, budget: ErrorBudget):
-    """Two-sided constraint rows (A, b) for the nine observed sets of one
-    Bell state and basis: an upper row then a lower row per set, in set
-    order.
+def _set_intervals(set_sizes: np.ndarray, budget: ErrorBudget):
+    """Which of the nine observed sets of one Bell state and basis enter
+    its constraint block, and the block's right-hand side: an upper row
+    then a lower row per entering set, in set order.
 
     Sets with no observations are skipped: the printed deviation widths
     vanish at zero and would pin the population share to exactly zero,
     which the concentration argument cannot justify there.  Dropping the
     rows only relaxes the program, so minima stay valid lower bounds (and
-    maxima valid upper bounds).
+    maxima valid upper bounds).  A block with no set keeps one empty row.
     """
     sizes = np.asarray(set_sizes, dtype=float).reshape(-1)
     delta, delta_hat = chernoff_interval(sizes, budget)
     observed = sizes > 0
     if not observed.any():
-        return np.zeros((1, _GRID * _GRID)), np.zeros(1)
-    coeffs = pop.conditional.reshape(9, -1)[observed]
-    rows = np.stack((coeffs, -coeffs), axis=1).reshape(-1, _GRID * _GRID)
+        return observed, np.zeros(1)
     rhs = np.stack((sizes + delta, -np.maximum(sizes - delta_hat, 0.0)), axis=1)
-    return rows, rhs[observed].reshape(-1)
+    return observed, rhs[observed].reshape(-1)
 
 
 def _population_caps(pop: PhotonPopulation, budget: ErrorBudget, n_basis_pairs: float):
@@ -319,6 +354,63 @@ def single_pair_objective(pop: PhotonPopulation) -> np.ndarray:
     return obj
 
 
+class DecoyPrograms:
+    """The decoy programs of one source pair: its photon population, the
+    vacuum and single-pair objectives, and one ``ConstraintMatrix`` per
+    constraint matrix a program has needed.
+
+    A basis block's matrix depends only on which of its nine sets were
+    observed, so the Z and X blocks of that mask share it; the joint error
+    program's matrix depends on its pair of masks.  Each matrix keeps its
+    HiGHS model while the value lives, so one value serves a whole length
+    search or Monte-Carlo run, and its models go with it.
+    """
+
+    def __init__(self, population: PhotonPopulation):
+        self.population = population
+        self.vacuum = vacuum_objective(population)
+        self.single = single_pair_objective(population)
+        self._matrices: dict = {}
+
+    def _matrix(self, key, build_rows) -> ConstraintMatrix:
+        if key not in self._matrices:
+            self._matrices[key] = ConstraintMatrix(build_rows())
+        return self._matrices[key]
+
+    def _rows(self, observed: np.ndarray) -> np.ndarray:
+        """Upper and lower rows of the observed sets, interleaved."""
+        if not observed.any():
+            return np.zeros((1, _GRID * _GRID))
+        coeffs = self.population.conditional.reshape(9, -1)[observed]
+        return np.stack((coeffs, -coeffs), axis=1).reshape(-1, _GRID * _GRID)
+
+    def block(self, set_sizes: np.ndarray, budget: ErrorBudget):
+        """(matrix, b_ub): the two-sided constraints on the populations S
+        of the nine observed sets of one Bell state and basis."""
+        observed, rhs = _set_intervals(set_sizes, budget)
+        return self._matrix(observed.tobytes(), lambda: self._rows(observed)), rhs
+
+    def joint(self, set_sizes: np.ndarray, error_sizes: np.ndarray, budget: ErrorBudget):
+        """(matrix, b_ub) over the populations S and their error populations
+        V: the set-size block on S, the error-count block on V, and
+        V_nm <= S_nm."""
+        (observed, size_rhs), (erred, error_rhs) = (
+            _set_intervals(set_sizes, budget), _set_intervals(error_sizes, budget))
+
+        def rows():
+            size_rows, error_rows = self._rows(observed), self._rows(erred)
+            width = _GRID * _GRID
+            eye = np.eye(width)
+            return np.block([
+                [size_rows, np.zeros((len(size_rows), width))],
+                [np.zeros((len(error_rows), width)), error_rows],
+                [-eye, eye],
+            ])
+
+        rhs = np.concatenate((size_rhs, error_rhs, np.zeros(_GRID * _GRID)))
+        return self._matrix((observed.tobytes(), erred.tobytes()), rows), rhs
+
+
 def _lower_bound(constraints, caps: np.ndarray, objective: np.ndarray, eps: float) -> float:
     """Minimum of the objective over one constraint block and the caps,
     less its Chernoff deviation at ``eps``, clamped at zero."""
@@ -326,24 +418,13 @@ def _lower_bound(constraints, caps: np.ndarray, objective: np.ndarray, eps: floa
     return max(value - chernoff_delta(value, eps), 0.0)
 
 
-def _upper_bound_errors(
-    size_block, error_block, caps: np.ndarray, objective: np.ndarray, eps: float
-) -> float:
+def _upper_bound_errors(joint, caps: np.ndarray, objective: np.ndarray, eps: float) -> float:
     """Upper bound on the single-photon-pair errors of the signal-signal X
-    set: the largest error population V_11 of a joint program over the
-    populations S and error populations V, which satisfy the set-size and
-    the error-count blocks and V_nm <= S_nm, plus its Chernoff deviation."""
-    (a_size, b_size), (a_err, b_err) = size_block, error_block
-    width = _GRID * _GRID
-    eye = np.eye(width)
-    a_ub = np.block([
-        [a_size, np.zeros((len(a_size), width))],
-        [np.zeros((len(a_err), width)), a_err],
-        [-eye, eye],
-    ])
-    b_ub = np.concatenate((b_size, b_err, np.zeros(width)))
-    cost = np.concatenate((np.zeros(width), objective.reshape(-1)))
-    _, worst = _solve_lp(cost, a_ub, b_ub, np.concatenate((caps, caps)), maximize=True)
+    set: the largest error population V_11 of the joint program
+    (``DecoyPrograms.joint``), each of S and V under the caps, plus its
+    Chernoff deviation."""
+    cost = np.concatenate((np.zeros(_GRID * _GRID), objective.reshape(-1)))
+    _, worst = _solve_lp(cost, *joint, np.concatenate((caps, caps)), maximize=True)
     return worst + (chernoff_delta(worst, eps) if worst > 0 else 0.0)
 
 
@@ -536,8 +617,7 @@ def split_signal_set(size: int, r_fraction: float) -> tuple[int, int] | None:
 
 def estimate_yields(
     sifted: SiftedData,
-    config_a: DecoySourceConfig,
-    config_b: DecoySourceConfig,
+    programs: DecoyPrograms,
     budget: ErrorBudget,
     r_fraction: float = presets.DEFAULT_R_FRACTION,
     seed: int = 0,
@@ -551,14 +631,15 @@ def estimate_yields(
     e_bar_k1 at 0.0.  A Bell state whose program inputs (Z counts, X
     counts, X error counts) equal an earlier state's reuses its program
     results; its own e_obs is still drawn, so the random stream does not
-    depend on the reuse.
+    depend on the reuse.  ``programs`` are the source pair's decoy programs,
+    whose kept HiGHS models serve every call that passes them.
     """
-    pop = photon_population(config_a, config_b)
+    pop = programs.population
     caps = {
         basis: _population_caps(pop, budget, sifted.n_pulses * pop.basis_pair_prob[basis])
         for basis in ("Z", "X")
     }
-    vacuum, single = vacuum_objective(pop), single_pair_objective(pop)
+    vacuum, single = programs.vacuum, programs.single
     rng = _estimate_rng(seed)
     result = EstimationResult(estimates={}, z_sizes={})
     solved: dict[bytes, YieldEstimate] = {}  # program inputs -> the estimate that solved them
@@ -581,19 +662,17 @@ def estimate_yields(
         solved[key] = est
         est.validity_ok = set_validity(sifted.z_counts[bell], budget)[0]
         try:
-            z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
+            z_block = programs.block(sifted.z_counts[bell], budget)
             est.m_k0 = _lower_bound(z_block, caps["Z"], vacuum, budget.eps_0)
             est.m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
             est.n_k0 = serfling_scale(est.m_k0, size, est.n_half, budget.eps_k0_serfling)
             est.n_k1 = serfling_scale(est.m_k1, size, est.n_half, budget.eps_k1_serfling)
             _require_code_bound(est.n_k1)
-            x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
+            x_block = programs.block(sifted.x_counts[bell], budget)
             n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
             _transferable_pairs(n_bar)
-            error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
-            e_bar = _upper_bound_errors(
-                x_block, error_block, caps["X"], single, budget.eps_ke_x2
-            )
+            joint = programs.joint(sifted.x_counts[bell], sifted.x_errors[bell], budget)
+            e_bar = _upper_bound_errors(joint, caps["X"], single, budget.eps_ke_x2)
             est.n_bar_k1, est.e_bar_k1 = n_bar, e_bar
             est.e_k1 = upper_bound_e_k1(est.n_k1, n_bar, e_bar, budget)
         except (DegenerateSessionError, InfeasibleObservationsError) as exc:

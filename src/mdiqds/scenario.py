@@ -15,7 +15,14 @@ from .errors import (
     InfeasibleBoundsError,
     ValidationError,
 )
-from .estimation import ErrorBudget, LinkBound, estimate_yields, true_error_upper_bound
+from .estimation import (
+    DecoyPrograms,
+    ErrorBudget,
+    LinkBound,
+    estimate_yields,
+    photon_population,
+    true_error_upper_bound,
+)
 from .security import (LINKS, build_security_report, choose_thresholds, link_report,
                        repudiation_bound)
 from .session import ChannelTables, run_kgp_session
@@ -253,6 +260,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
     link that has no usable Bell state."""
     pulses = max(int(scenario.n_sig / scenario.scale_factor), 1)
     tables = ChannelTables(scenario.source_a, scenario.source_b, scenario.profile)
+    programs = DecoyPrograms(photon_population(scenario.source_a, scenario.source_b))
     results = {}
     sessions = {}
     for index, name in enumerate(LINKS):
@@ -264,8 +272,7 @@ def run_montecarlo(scenario: Scenario) -> tuple[int, dict]:
         }
         results[name] = estimate_yields(
             sifted,
-            scenario.source_a,
-            scenario.source_b,
+            programs,
             scenario.budget,
             r_fraction=scenario.r_fraction,
             seed=int(scenario.seed) + index,

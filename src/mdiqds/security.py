@@ -28,10 +28,12 @@ from .entropy import (
 )
 from .errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from .estimation import (
+    DecoyPrograms,
     ErrorBudget,
     EstimationResult,
     LinkBound,
     estimate_yields,
+    photon_population,
     split_signal_set,
 )
 from .session import ChannelTables, expected_sifted_data
@@ -348,13 +350,13 @@ def _evaluate_budget(
     zeta: float,
     r_fraction: float,
     pulse_rate: float,
+    programs: DecoyPrograms,
 ) -> SecurityReport | None:
     """The report of the expected session at ``n_sig`` pulses, standing for
-    both links; None when it has no usable Bell state."""
+    both links; None when it has no usable Bell state.  ``programs`` are the
+    decoy programs of the tables' source pair."""
     sifted = expected_sifted_data(tables.expected_rates(), n_sig)
-    result = estimate_yields(
-        sifted, tables.config_a, tables.config_b, budget, r_fraction=r_fraction, seed=0
-    )
+    result = estimate_yields(sifted, programs, budget, r_fraction=r_fraction, seed=0)
     try:
         return link_report(dict.fromkeys(LINKS, result), budget, n_sig, pulse_rate, zeta)
     except DegenerateSessionError:
@@ -399,8 +401,12 @@ def signature_length_search(
             f"{honest_abort_bound(budget.eps_pe):.2e}, forging floor {forge_floor:.2e}"
         )
 
+    # built once for the search: every evaluation re-solves the same models
+    programs = DecoyPrograms(photon_population(tables.config_a, tables.config_b))
+
     def evaluate(n_sig: float) -> SecurityReport | None:
-        return _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate)
+        return _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate,
+                                programs)
 
     rates = tables.expected_rates()
 

@@ -13,6 +13,7 @@ each point the production search skipped fails here.
 import math
 
 from mdiqds.errors import InfeasibleBoundsError
+from mdiqds.estimation import DecoyPrograms, photon_population
 from mdiqds.security import SearchResult, _evaluate_budget
 
 BUDGET_CAP = 2e13
@@ -25,9 +26,11 @@ def plain_length_search(
     """Returns (SearchResult, [(n_sig, report or None), ...] in the order
     evaluated)."""
     trajectory = []
+    programs = DecoyPrograms(photon_population(tables.config_a, tables.config_b))
 
     def meets(n_sig):
-        report = _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate)
+        report = _evaluate_budget(tables, n_sig, budget, zeta, r_fraction, pulse_rate,
+                                  programs)
         trajectory.append((n_sig, report))
         return report is not None and report.meets_target(target_security)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mdiqds.entropy import binary_entropy, binomial_tail_log2, inverse_binary_entropy
-from mdiqds.estimation import ErrorBudget, estimate_yields
+from mdiqds.estimation import DecoyPrograms, ErrorBudget, estimate_yields, photon_population
 from mdiqds.protocol import (
     simulate_forging_bob,
     simulate_honest_batch,
@@ -174,6 +174,7 @@ def test_criterion_4_estimator_soundness():
     start = time.time()
     config, budget = BRIGHT_CONFIG, LOOSE_BUDGET
     tables = ChannelTables(config, config, BRIGHT_PROFILE)
+    programs = DecoyPrograms(photon_population(config, config))
     sessions = 200
     pulses = 12_000_000  # 1.2e12 / scale 1e5
     violations = {"n_k0": 0, "n_k1": 0, "e_k1": 0}
@@ -181,7 +182,7 @@ def test_criterion_4_estimator_soundness():
     resolved_n_k1 = 0
     for i in range(sessions):
         sifted = run_kgp_session(tables, pulses, seed=40_000 + i)
-        result = estimate_yields(sifted, config, config, budget, seed=40_000 + i)
+        result = estimate_yields(sifted, programs, budget, seed=40_000 + i)
         keep_rng = np.random.default_rng(40_000 + i)
         for bell, est in result.estimates.items():
             if est.abort_reason and est.m_k0 == est.m_k1 == 0.0:
@@ -230,11 +231,12 @@ def test_phase_error_soundness():
     allowance at eps_ke."""
     config, budget = BRIGHT_CONFIG, LOOSE_BUDGET
     tables = ChannelTables(config, config, BRIGHT_PROFILE)
+    programs = DecoyPrograms(photon_population(config, config))
     sessions, pulses = 200, 120_000_000
     trials = emitted = violations = 0
     for i in range(sessions):
         sifted = run_kgp_session(tables, pulses, seed=50_000 + i)
-        result = estimate_yields(sifted, config, config, budget, seed=50_000 + i)
+        result = estimate_yields(sifted, programs, budget, seed=50_000 + i)
         for bell, est in result.estimates.items():
             trials += 1
             true_error = single_pair_error_rate(sifted, bell)

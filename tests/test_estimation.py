@@ -12,6 +12,8 @@ from mdiqds import estimation, presets
 from mdiqds.entropy import chernoff_delta
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from mdiqds.estimation import (
+    ConstraintMatrix,
+    DecoyPrograms,
     ErrorBudget,
     LinkBound,
     PhotonPopulation,
@@ -30,11 +32,11 @@ from mdiqds.estimation import (
     vacuum_objective,
     _lower_bound,
     _population_caps,
-    _population_constraints,
     _solve_lp,
     _upper_bound_errors,
 )
 from mdiqds.scenario import run, scenario_from_dict
+from mdiqds.security import signature_length_search
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
 from test_scenario import BRIGHT_LINK
@@ -97,10 +99,15 @@ def make_sifted(z_counts, x_counts=None, z_errors=None, x_errors=None, n_pulses=
     )
 
 
+def programs_for(config):
+    """The decoy programs of a link whose two parties share ``config``."""
+    return DecoyPrograms(photon_population(config, config))
+
+
 def z_lower_bound(sifted, bell, pop, budget, objective, eps):
     """m_k0 (vacuum objective, eps_0) or m_k1 (single-pair objective,
     eps_1) of one Bell state, built as estimate_yields builds it."""
-    constraints = _population_constraints(sifted.z_counts[bell], pop, budget)
+    constraints = DecoyPrograms(pop).block(sifted.z_counts[bell], budget)
     caps = _population_caps(pop, budget, sifted.n_pulses * pop.basis_pair_prob["Z"])
     return _lower_bound(constraints, caps, objective, eps)
 
@@ -227,7 +234,7 @@ class TestPopulationLP:
                     sizes[ia, ib] = pop.conditional[ia, ib, :2, :2].reshape(-1) @ truth
             objective = np.zeros((11, 11))
             objective[:2, :2] = rng.random((2, 2))
-            constraints = _population_constraints(sizes, pop, budget)
+            constraints = DecoyPrograms(pop).block(sizes, budget)
             x, value = _solve_lp(objective, *constraints, np.full(11 * 11, np.inf))
             oracle = self._vertex_oracle(pop, sizes, budget, objective)
             assert oracle is not None
@@ -247,8 +254,8 @@ class TestPopulationLP:
                 delta, delta_hat = chernoff_interval(obs, budget)
                 rows += [pop.conditional[ia, ib].ravel(), -pop.conditional[ia, ib].ravel()]
                 rhs += [obs + delta, -max(obs - delta_hat, 0.0)]
-        a_ub, b_ub = _population_constraints(sizes, pop, budget)
-        assert np.array_equal(a_ub, np.array(rows))
+        matrix, b_ub = DecoyPrograms(pop).block(sizes, budget)
+        assert np.array_equal(matrix.a_ub, np.array(rows))
         assert b_ub.tobytes() == np.array(rhs).tobytes()
         expected = 3.7e11 * pop.pair_pmf.ravel()
         caps = [m + (chernoff_delta(m, budget.eps_cap) if m > 0 else 0.0) for m in expected]
@@ -293,51 +300,159 @@ SEARCHED_N_SIG = {"standard": 193570556600.58203, "ingaas-apd": 46340950011.8415
 
 
 def capture_programs(monkeypatch) -> list:
-    """Record the (cost, a_ub, b_ub, caps) of every program solved from here on."""
-    programs = []
+    """Record every program solved from here on, (cost, matrix, b_ub, caps),
+    with the (status, x, value) that its solve gave."""
+    solved = []
     solve = estimation.linprog
 
     def capture(*program):
-        programs.append(program)
-        return solve(*program)
+        result = solve(*program)
+        solved.append((program, result))
+        return result
 
     monkeypatch.setattr(estimation, "linprog", capture)
-    return programs
+    return solved
+
+
+def corpus_matrices(solved) -> list:
+    """The distinct ConstraintMatrix objects that the solves went through."""
+    return list({id(program[1]): program[1] for program, _ in solved}.values())
+
+
+def assert_same_bits(got, want):
+    """Two (status, x, value) solves agree in status, and in x and value to
+    the bit."""
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None and got[2] is None
+    else:
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def solved_corpus():
+    """Every program solved, on the kept models, by the standard and snspd
+    length searches at 1e-4 (failed evaluations included) and by 20
+    simulate sessions on the default 50 km link, whose Bell states leave
+    some of their sets empty, keyed by where it was solved."""
+    source = presets.default_source_config()
+    corpus, start = {}, 0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solved = capture_programs(monkeypatch)
+        for preset in ("standard", "snspd"):
+            signature_length_search(source, source, presets.profile_for_preset(preset),
+                                    ErrorBudget(), 1e-4)
+            corpus[preset], start = solved[start:], len(solved)
+        for seed in range(20):
+            run(scenario_from_dict({"mode": "montecarlo", "seed": seed, "scale_factor": 5.58e4}))
+        corpus["simulate"] = solved[start:]
+    return corpus
 
 
 class TestDirectSolve:
-    """``estimation.linprog`` calls HiGHS directly; ``_solve_lp`` keeps the
-    status and point checks of scipy's ``linprog``."""
+    """``estimation.linprog`` calls HiGHS directly and keeps one model per
+    constraint matrix; ``_solve_lp`` keeps the status and point checks of
+    scipy's ``linprog``."""
 
     def test_optimum_matches_scipy_linprog(self, monkeypatch):
         # the decoy programs of the expected sessions at every preset's
-        # searched N_sig and of bright-link Monte-Carlo sessions: the same
-        # solver on the same model, so the same optimum to the bit
+        # searched N_sig and of bright-link Monte-Carlo sessions, solved on
+        # fresh and kept models: the same solver on the same model as scipy,
+        # so the same optimum to the bit
         from scipy.optimize import linprog as scipy_linprog
 
-        solve = estimation.linprog
-        programs = capture_programs(monkeypatch)
+        solved = capture_programs(monkeypatch)
         source = presets.default_source_config()
         for preset, n_sig in SEARCHED_N_SIG.items():
             rates = ChannelTables(source, source, presets.profile_for_preset(preset)).expected_rates()
-            estimate_yields(expected_sifted_data(rates, n_sig), source, source, ErrorBudget())
-        expected_programs = len(programs)
+            estimate_yields(expected_sifted_data(rates, n_sig), programs_for(source), ErrorBudget())
+        expected_programs = len(solved)
         run(scenario_from_dict({**BRIGHT_LINK, "seed": 1, "scale_factor": 3e4}))
-        assert expected_programs == 16 and len(programs) > expected_programs
-        for cost, a_ub, b_ub, caps in programs:
-            status, x, value = solve(cost, a_ub, b_ub, caps)
-            ref = scipy_linprog(cost, A_ub=a_ub, b_ub=b_ub,
+        assert expected_programs == 16 and len(solved) > expected_programs
+        for (cost, matrix, b_ub, caps), (status, x, value) in solved:
+            ref = scipy_linprog(cost, A_ub=matrix.a_ub, b_ub=b_ub,
                                 bounds=np.column_stack((np.zeros_like(caps), caps)),
                                 method="highs", options={"presolve": False})
             assert status == "Optimal" and ref.success
             assert value == ref.fun
             assert np.array_equal(x, ref.x)
 
+    def test_kept_models_give_fresh_bits(self, solved_corpus):
+        # a kept model changes its cost, caps and right-hand side, then
+        # solves cold: the same status, optimum and value as a model built
+        # for the one program
+        simulated = corpus_matrices(solved_corpus["simulate"])
+        # the sessions' empty sets differ, so their blocks have different masks
+        assert len({matrix.a_ub.shape for matrix in simulated}) > 1
+        kept = total = 0
+        for runs in solved_corpus.values():
+            seen = set()
+            for (cost, matrix, b_ub, caps), result in runs:
+                kept += id(matrix) in seen
+                total += 1
+                seen.add(id(matrix))
+                assert_same_bits(result, estimation.linprog(
+                    cost, ConstraintMatrix(matrix.a_ub), b_ub, caps))
+        # most of them ran on a model an earlier program had used
+        assert 2 * kept > total
+
+    def test_failed_solve_leaves_a_kept_model_clean(self, solved_corpus):
+        # HiGHS keeps a model's status and basis between runs: every search
+        # program, solved right after a failed program on the same model,
+        # gives the bits of its own solve
+        for preset in ("standard", "snspd"):
+            for (cost, matrix, b_ub, caps), result in solved_corpus[preset]:
+                model = ConstraintMatrix(matrix.a_ub)
+                broken = b_ub.copy()
+                broken[0] = -1.0  # an upper row below zero: no x >= 0 keeps it
+                assert estimation.linprog(cost, model, broken, caps)[0] == "Infeasible"
+                assert_same_bits(estimation.linprog(cost, model, b_ub, caps), result)
+
+    def test_feasible_after_infeasible_and_unbounded(self):
+        # the infeasible program of test_caps_below_a_lower_row_infeasible,
+        # then a feasible one on its model; an unbounded program on the
+        # empty block's model, then a feasible one: each second solve gives
+        # the bits of a fresh model
+        programs, budget = programs_for(PUBLISHED_CONFIG), ErrorBudget()
+        rates = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
+        sifted = expected_sifted_data(rates, 5.58e12)
+        caps = _population_caps(programs.population, budget,
+                                sifted.n_pulses * programs.population.basis_pair_prob["Z"])
+        vacuum, single = programs.vacuum.ravel(), programs.single.ravel()
+        full, full_rhs = programs.block(np.full((3, 3), 1e6), budget)
+        empty, empty_rhs = programs.block(np.zeros((3, 3)), budget)
+        cases = ((full, (vacuum, full_rhs, np.zeros(11 * 11)),
+                  (vacuum, *programs.block(sifted.z_counts[0], budget)[1:], caps)),
+                 (empty, (-vacuum, empty_rhs, np.full(11 * 11, np.inf)),
+                  (-single, empty_rhs, caps)))
+        for model, (cost, b_ub, bad_caps), (good_cost, good_rhs, good_caps) in cases:
+            status, _, _ = estimation.linprog(cost, model, b_ub, bad_caps)
+            assert status != "Optimal"
+            got = estimation.linprog(good_cost, model, good_rhs, good_caps)
+            assert got[0] == "Optimal"
+            assert_same_bits(got, estimation.linprog(
+                good_cost, ConstraintMatrix(model.a_ub), good_rhs, good_caps))
+
+    def test_one_model_per_matrix(self, solved_corpus, monkeypatch):
+        # the 1e-4 searches solve 32 (standard) and 39 (snspd) programs and
+        # a bright-link run at scale 3e4 solves 16; each builds at most one
+        # model per distinct constraint matrix, not one per solve
+        solved = capture_programs(monkeypatch)
+        run(scenario_from_dict({**BRIGHT_LINK, "seed": 0, "scale_factor": 3e4}))
+        jobs = {"standard": (solved_corpus["standard"], 32, 4),
+                "snspd": (solved_corpus["snspd"], 39, 4), "bright": (solved, 16, 2)}
+        for job, (runs, programs, models) in jobs.items():
+            matrices = corpus_matrices(runs)
+            distinct = {(m.a_ub.shape, m.a_ub.tobytes()) for m in matrices}
+            assert (len(runs), len(matrices)) == (programs, models), job
+            assert len(matrices) <= len(distinct), job
+
     def test_caps_below_a_lower_row_infeasible(self):
         # every set needs photon pairs that zero caps do not allow
         pop = photon_population(PUBLISHED_CONFIG, PUBLISHED_CONFIG)
         budget = ErrorBudget()
-        block = _population_constraints(np.full((3, 3), 1e6), pop, budget)
+        block = DecoyPrograms(pop).block(np.full((3, 3), 1e6), budget)
         with pytest.raises(InfeasibleObservationsError,
                            match="^observed set sizes admit no consistent photon-number "
                                  "population$"):
@@ -346,12 +461,17 @@ class TestDirectSolve:
     def test_unbounded_program_fails(self):
         # an uncapped variable that the objective drives to infinity
         with pytest.raises(InfeasibleObservationsError, match="^population LP failed: "):
-            _solve_lp(np.array([-1.0]), np.array([[-1.0]]), np.zeros(1), np.full(1, np.inf))
+            _solve_lp(np.array([-1.0]), ConstraintMatrix(np.array([[-1.0]])), np.zeros(1),
+                      np.full(1, np.inf))
 
     # max x0 over {x0 - x1 <= 1, x1 <= 0.5, 0 <= x0 <= 1, 0 <= x1 <= 2},
     # and points the solver might return instead of its optimum
     PROGRAM = (np.array([1.0, 0.0]), np.array([[1.0, -1.0], [0.0, 1.0]]),
                np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+
+    def program(self):
+        cost, a_ub, b_ub, caps = self.PROGRAM
+        return cost, ConstraintMatrix(a_ub), b_ub, caps
 
     @pytest.mark.parametrize("point, kept", [
         ((1.0, 0.5 + 1e-3), False),   # breaks the row x1 <= 0.5 by 1e-3
@@ -369,12 +489,12 @@ class TestDirectSolve:
 
         monkeypatch.setattr(estimation, "linprog", moved)
         if kept:
-            x, value = _solve_lp(*self.PROGRAM, maximize=True)
+            x, value = _solve_lp(*self.program(), maximize=True)
             assert (tuple(x), value) == (point, 1.0)
         else:
             with pytest.raises(InfeasibleObservationsError,
                                match="^population LP failed: the solver's point breaks"):
-                _solve_lp(*self.PROGRAM, maximize=True)
+                _solve_lp(*self.program(), maximize=True)
 
 
 class TestSerflingScale:
@@ -510,7 +630,7 @@ def published_session():
     pulses, and its estimates."""
     rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
     sd = expected_sifted_data(rt, 5.58e12)
-    return sd, estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
+    return sd, estimate_yields(sd, programs_for(PUBLISHED_CONFIG), ErrorBudget(), seed=3)
 
 
 class TestEstimateYields:
@@ -547,7 +667,7 @@ class TestEstimateYields:
 
     def test_bounds_respect_ground_truth(self, rich_session):
         res = estimate_yields(
-            rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3
+            rich_session, programs_for(DESK_CONFIG), DESK_BUDGET, seed=3
         )
         rng = np.random.default_rng(3)
         checked = 0
@@ -575,7 +695,7 @@ class TestEstimateYields:
     def test_code_string_length(self, rich_session):
         # R_k bits go to error estimation; the rest, rounded down to even,
         # form the code string
-        res = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        res = estimate_yields(rich_session, programs_for(DESK_CONFIG), DESK_BUDGET, seed=3)
         for bell, est in res.estimates.items():
             size = int(rich_session.z_counts[bell, 0, 0])
             assert est.r_k == round(0.055 * size)
@@ -583,7 +703,7 @@ class TestEstimateYields:
         # 101 signal-signal bits: R_k = 6 leaves 95, so one bit is dropped
         z = np.zeros((2, 3, 3))
         z[:, 0, 0] = 101
-        res = estimate_yields(make_sifted(z), DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        res = estimate_yields(make_sifted(z), programs_for(DESK_CONFIG), DESK_BUDGET, seed=3)
         for est in res.estimates.values():
             assert (est.r_k, est.n_k) == (6, 94)
 
@@ -608,13 +728,13 @@ class TestEstimateYields:
                 alone = copy.deepcopy(sifted)
                 alone.z_counts[1 - bell] = 0
                 calls.clear()
-                est = estimate_yields(alone, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET,
+                est = estimate_yields(alone, programs_for(DESK_CONFIG), DESK_BUDGET,
                                       seed=3).estimates[bell]
                 assert len(calls) == expected[est.abort_reason], (bell, est.abort_reason)
                 seen.add(est.abort_reason)
         assert seen == set(expected)
         calls.clear()
-        estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        estimate_yields(rich_session, programs_for(DESK_CONFIG), DESK_BUDGET, seed=3)
         assert len(calls) == 7
 
     def test_equal_bell_states_share_programs(self, monkeypatch):
@@ -632,7 +752,7 @@ class TestEstimateYields:
 
         def estimate():
             calls.clear()
-            return estimate_yields(sifted, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget())
+            return estimate_yields(sifted, programs_for(PUBLISHED_CONFIG), ErrorBudget())
 
         shared = estimate().estimates
         assert len(calls) == 4
@@ -657,22 +777,23 @@ class TestEstimateYields:
         """One Bell state's estimate through all four programs, then the
         phase-error transfer, with no check before the last program: m_k0,
         m_k1, n_k0, n_k1 and e_k1 with usable and abort_reason."""
-        pop = photon_population(config, config)
+        programs = programs_for(config)
+        pop = programs.population
         caps = {basis: _population_caps(pop, budget,
                                          sifted.n_pulses * pop.basis_pair_prob[basis])
                 for basis in ("Z", "X")}
         single = single_pair_objective(pop)
         size = int(sifted.z_counts[bell, 0, 0])
         n_half = split_signal_set(size, presets.DEFAULT_R_FRACTION)[1] // 2
-        z_block = _population_constraints(sifted.z_counts[bell], pop, budget)
+        z_block = programs.block(sifted.z_counts[bell], budget)
         m_k0 = _lower_bound(z_block, caps["Z"], vacuum_objective(pop), budget.eps_0)
         m_k1 = _lower_bound(z_block, caps["Z"], single, budget.eps_1)
         n_k0 = serfling_scale(m_k0, size, n_half, budget.eps_k0_serfling)
         n_k1 = serfling_scale(m_k1, size, n_half, budget.eps_k1_serfling)
-        x_block = _population_constraints(sifted.x_counts[bell], pop, budget)
-        error_block = _population_constraints(sifted.x_errors[bell], pop, budget)
+        x_block = programs.block(sifted.x_counts[bell], budget)
+        joint = programs.joint(sifted.x_counts[bell], sifted.x_errors[bell], budget)
         n_bar = _lower_bound(x_block, caps["X"], single, budget.eps_ke_x1)
-        e_bar = _upper_bound_errors(x_block, error_block, caps["X"], single, budget.eps_ke_x2)
+        e_bar = _upper_bound_errors(joint, caps["X"], single, budget.eps_ke_x2)
         try:
             e_k1, usable, reason = upper_bound_e_k1(n_k1, n_bar, e_bar, budget), True, None
         except DegenerateSessionError as exc:
@@ -691,7 +812,7 @@ class TestEstimateYields:
         reasons = set()
         for n_sig in (6.4e7, 1.0e9, 4.1e9, 1.6e10, 1.9357e11):
             sifted = expected_sifted_data(rates, n_sig)
-            result = estimate_yields(sifted, source, source, budget)
+            result = estimate_yields(sifted, programs_for(source), budget)
             for bell, est in result.estimates.items():
                 want = self._full_chain(sifted, bell, source, budget)
                 assert {name: getattr(est, name) for name in want} == want, (n_sig, bell)
@@ -710,7 +831,7 @@ class TestEstimateYields:
             raise InfeasibleObservationsError("joint error program failed")
 
         monkeypatch.setattr(estimation, "_upper_bound_errors", infeasible)
-        res = estimate_yields(sifted, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=3)
+        res = estimate_yields(sifted, programs_for(PUBLISHED_CONFIG), ErrorBudget(), seed=3)
         assert not res.usable
         for est in res.estimates.values():
             assert (est.n_bar_k1, est.e_bar_k1, est.e_k1) == (0.0, 0.0, 1.0)
@@ -719,8 +840,10 @@ class TestEstimateYields:
             assert est.n_k1 > 0
 
     def test_deterministic(self, rich_session):
-        one = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
-        two = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
+        # the second call re-solves the models the first one kept
+        programs = programs_for(DESK_CONFIG)
+        one = estimate_yields(rich_session, programs, DESK_BUDGET, seed=3)
+        two = estimate_yields(rich_session, programs, DESK_BUDGET, seed=3)
         for bell in (0, 1):
             assert one.estimates[bell].to_dict() == two.estimates[bell].to_dict()
 
@@ -729,16 +852,17 @@ class TestEstimateYields:
         # never gives a tighter bound than the joint error LP; it is solved
         # here for both Bell states, since estimate_yields skips it for a
         # state that stops at an earlier check
-        lp = estimate_yields(rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3)
-        pop = photon_population(DESK_CONFIG, DESK_CONFIG)
+        lp = estimate_yields(rich_session, programs_for(DESK_CONFIG), DESK_BUDGET, seed=3)
+        programs = programs_for(DESK_CONFIG)
+        pop = programs.population
         caps = _population_caps(pop, DESK_BUDGET,
                                 rich_session.n_pulses * pop.basis_pair_prob["X"])
         for bell in (0, 1):
             observed = float(rich_session.x_errors[bell, 0, 0])
             delta = chernoff_delta(observed, DESK_BUDGET.eps_ke_x2)
-            blocks = [_population_constraints(counts[bell], pop, DESK_BUDGET)
-                      for counts in (rich_session.x_counts, rich_session.x_errors)]
-            e_bar = _upper_bound_errors(*blocks, caps, single_pair_objective(pop),
+            joint = programs.joint(rich_session.x_counts[bell], rich_session.x_errors[bell],
+                                   DESK_BUDGET)
+            e_bar = _upper_bound_errors(joint, caps, single_pair_objective(pop),
                                         DESK_BUDGET.eps_ke_x2)
             assert observed + delta >= e_bar
             if lp.estimates[bell].usable:
@@ -746,7 +870,7 @@ class TestEstimateYields:
 
     def test_serialization_field_names(self, rich_session):
         res = estimate_yields(
-            rich_session, DESK_CONFIG, DESK_CONFIG, DESK_BUDGET, seed=3
+            rich_session, programs_for(DESK_CONFIG), DESK_BUDGET, seed=3
         )
         payload = res.estimates[0].to_dict()
         estimate_keys = {
@@ -759,7 +883,7 @@ class TestEstimateYields:
 
     def test_degenerate_session_flagged(self):
         sd = make_sifted(np.zeros((2, 3, 3)))
-        res = estimate_yields(sd, PUBLISHED_CONFIG, PUBLISHED_CONFIG, ErrorBudget(), seed=1)
+        res = estimate_yields(sd, programs_for(PUBLISHED_CONFIG), ErrorBudget(), seed=1)
         assert not any(est.usable for est in res.estimates.values())
         assert not res.usable
         with pytest.raises(DegenerateSessionError):

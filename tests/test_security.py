@@ -10,11 +10,13 @@ from mdiqds.entropy import EXACT_TAIL_LIMIT, binary_entropy, binomial_tail_log2
 from mdiqds import presets, security
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
 from mdiqds.estimation import (
+    DecoyPrograms,
     ErrorBudget,
     EstimationResult,
     LinkBound,
     YieldEstimate,
     estimate_yields,
+    photon_population,
     true_error_upper_bound,
 )
 from mdiqds.protocol import forging_success_probability
@@ -472,7 +474,7 @@ class TestExpectedStatisticsPerPreset:
         assert sum(
             getattr(sifted, name).nbytes for name in vars(sifted) if name.startswith("ev_")
         ) == 0
-        result = estimate_yields(sifted, config, config, BUDGET)
+        result = estimate_yields(sifted, DecoyPrograms(photon_population(config, config)), BUDGET)
         assert all(est.n_k > 0 for est in result.estimates.values())
 
 
@@ -497,13 +499,14 @@ class TestFullScaleScatter:
             config, config, profile, BUDGET, target_security=1e-4, tables=tables
         )
         pulses = int(expected.n_sig)
+        programs = DecoyPrograms(photon_population(config, config))
         reports = []
         for seed in range(self.SESSIONS):
             results = {}
             for index, name in enumerate(LINKS):
                 session_seed = 2 * seed + index
                 sifted = run_kgp_session(tables, pulses, seed=session_seed)
-                results[name] = estimate_yields(sifted, config, config, BUDGET, seed=session_seed)
+                results[name] = estimate_yields(sifted, programs, BUDGET, seed=session_seed)
             reports.append(link_report(results, BUDGET, pulses, config.pulse_rate))
         assert all(r.feasible for r in reports)
         # E_bar is left out: a report takes the worse of its two sessions'
