@@ -33,7 +33,8 @@ A basis block's matrix depends only on which of its sets were observed, so
 the Z and X blocks share one; the joint error program's depends on its two
 blocks' sets.  A solve changes a kept model's cost, caps and right-hand
 side and runs the HiGHS dual simplex cold, without presolve, to the optimum
-scipy's ``linprog(method="highs")`` gives.
+scipy's ``linprog(method="highs")`` gives.  HiGHS is scipy's binding,
+loaded from its file on the first solve without importing scipy.optimize.
 
 All probability bookkeeping lives in ErrorBudget; every bound holds except
 with the probability recorded there.
@@ -41,8 +42,12 @@ with the probability recorded there.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -211,9 +216,32 @@ def set_validity(set_sizes: np.ndarray, budget: ErrorBudget) -> tuple[bool, np.n
 # gives HiGHS: silent, no presolve, dual simplex
 _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"), ("simplex_strategy", 1))
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
 # how far scipy's linprog lets a returned point break a bound or a row:
 # 10 * sqrt of its default tolerance 1e-9
 _POINT_TOL = 10 * math.sqrt(1e-9)
+
+
+def _highs():
+    """scipy's HiGHS binding, ``scipy.optimize._highspy._core``, loaded from
+    its file in scipy's folder without running ``scipy.optimize``'s
+    ``__init__``, which imports all of scipy.optimize: several times the
+    import time and memory of the binding.  The module goes into
+    ``sys.modules`` under its own name, so a later ``import scipy.optimize``
+    finds it there and both share one module, and one ``_Highs`` type."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [str(folder)])
+    if spec is None:
+        raise ImportError(f"no HiGHS binding {_HIGHS_MODULE} in {folder}", name=_HIGHS_MODULE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_MODULE] = module
+    return module
 
 
 class ConstraintMatrix:
@@ -244,9 +272,10 @@ def linprog(cost, matrix: ConstraintMatrix, b_ub, caps):
     the matrix conversion and solver set-up that cost about as much as the
     run.  Each run ends by clearing the solver's basis and status, failed
     runs too, so the next one is cold and gives the bits of a fresh model.
-    HiGHS is imported on the first solve, so the run modes that solve no
-    program never import scipy.optimize."""
-    from scipy.optimize._highspy import _core as highs
+    The binding is loaded on the first solve (``_highs``), without the rest
+    of scipy.optimize, so the run modes that solve no program never load it
+    and no run mode imports scipy.optimize."""
+    highs = _highs()
 
     num_row, num_col = matrix.a_ub.shape
     upper = np.minimum(caps, highs.kHighsInf)
@@ -275,7 +304,7 @@ def linprog(cost, matrix: ConstraintMatrix, b_ub, caps):
     x = value = None
     if status == "Optimal":
         x = np.array(solver.getSolution().col_value)
-        value = solver.getInfo().objective_function_value
+        value = solver.getObjectiveValue()
     solver.clearSolver()
     return status, x, value
 

@@ -4,6 +4,11 @@ oracle, Serfling scaling, and the phase-error transfer."""
 import copy
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +355,41 @@ def solved_corpus():
     return corpus
 
 
+# solves one saved program through estimation.linprog and scipy's linprog in
+# a fresh interpreter, in the order argv[2] names, and checks that both went
+# through one HiGHS binding module and agree to the bit
+IMPORT_ORDER_SCRIPT = """
+import sys
+import numpy as np
+program = np.load(sys.argv[1])
+cost, a_ub, b_ub, caps = (program[name] for name in ("cost", "a_ub", "b_ub", "caps"))
+BINDING = "scipy.optimize._highspy._core"
+
+def ours():
+    from mdiqds import estimation
+    matrix = estimation.ConstraintMatrix(a_ub)
+    return estimation.linprog(cost, matrix, b_ub, caps), type(matrix.solver)
+
+def scipys():
+    from scipy.optimize import linprog
+    return linprog(cost, A_ub=a_ub, b_ub=b_ub, method="highs", options={"presolve": False},
+                   bounds=np.column_stack((np.zeros_like(caps), caps)))
+
+if sys.argv[2] == "mdiqds-first":
+    (got, solver_type), binding = ours(), sys.modules[BINDING]
+    assert "scipy.optimize" not in sys.modules
+    ref = scipys()
+    assert ours()[0][2].hex() == got[2].hex()
+else:
+    ref, binding = scipys(), sys.modules[BINDING]
+    got, solver_type = ours()
+from scipy.optimize._highspy import _core
+assert _core is binding and sys.modules[BINDING] is binding and solver_type is _core._Highs
+assert got[0] == "Optimal" and ref.success
+assert got[1].tobytes() == ref.x.tobytes() and got[2].hex() == ref.fun.hex()
+"""
+
+
 class TestDirectSolve:
     """``estimation.linprog`` calls HiGHS directly and keeps one model per
     constraint matrix; ``_solve_lp`` keeps the status and point checks of
@@ -377,6 +417,33 @@ class TestDirectSolve:
             assert status == "Optimal" and ref.success
             assert value == ref.fun
             assert np.array_equal(x, ref.x)
+
+    @pytest.mark.parametrize("order", ["mdiqds-first", "scipy-first"])
+    def test_one_binding_in_either_import_order(self, solved_corpus, tmp_path, order):
+        # estimation.linprog loads HiGHS's binding without scipy.optimize; a
+        # later import of scipy.optimize reuses that module, and a binding
+        # scipy.optimize loaded first is the one linprog reuses: one module,
+        # one _Highs type, the same optimum to the bit
+        (cost, matrix, b_ub, caps), result = solved_corpus["standard"][-1]
+        assert result[0] == "Optimal"
+        np.savez(tmp_path / "program.npz", cost=cost, a_ub=matrix.a_ub, b_ub=b_ub, caps=caps)
+        package_root = str(Path(estimation.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_ORDER_SCRIPT, str(tmp_path / "program.npz"), order],
+            env={**os.environ, "PYTHONPATH": package_root}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_missing_binding_names_its_folder(self, monkeypatch, tmp_path):
+        # a scipy without the binding's file in optimize/_highspy
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        folder = tmp_path / "scipy" / "optimize" / "_highspy"
+        with pytest.raises(ImportError, match=f"in {re.escape(str(folder))}$"):
+            estimation.linprog(np.ones(1), ConstraintMatrix(np.ones((1, 1))), np.ones(1),
+                               np.ones(1))
 
     def test_kept_models_give_fresh_bits(self, solved_corpus):
         # a kept model changes its cost, caps and right-hand side, then

@@ -203,14 +203,16 @@ class TestRunModes:
         assert code == (EXIT_INFEASIBLE if mode == "montecarlo" else EXIT_OK)
 
     def test_scipy_imported_only_to_solve(self):
-        # the analytic, table-sweep and protocol modes solve no decoy program,
-        # so they never import scipy.optimize; a Monte-Carlo run does
+        # no mode imports scipy.optimize: a Monte-Carlo run loads only its
+        # HiGHS binding, and the analytic, table-sweep and protocol modes,
+        # which solve no decoy program, do not load even that
         script = "\n".join([
             "import sys",
             "from mdiqds.scenario import run, scenario_from_dict",
             "def loaded(mode, **config):",
             "    run(scenario_from_dict({'mode': mode, **config}))",
-            "    return 'scipy.optimize' in sys.modules",
+            "    assert 'scipy.optimize' not in sys.modules, mode",
+            "    return 'scipy.optimize._highspy._core' in sys.modules",
             "assert not loaded('analytic')",
             "assert not loaded('table-sweep')",
             "assert not loaded('protocol', seed=7, protocol={'trials': 2000})",
