@@ -3,6 +3,7 @@ oracle, Serfling scaling, and the phase-error transfer."""
 
 import copy
 import itertools
+import json
 import math
 import os
 import re
@@ -40,11 +41,11 @@ from mdiqds.estimation import (
     _solve_lp,
     _upper_bound_errors,
 )
-from mdiqds.scenario import run, scenario_from_dict
+from mdiqds.scenario import render_report, run, scenario_from_dict
 from mdiqds.security import signature_length_search
 from mdiqds.session import ChannelTables, expected_sifted_data, run_kgp_session
 from mdiqds.sources import N_CUT, DecoySourceConfig, SystemProfile
-from test_scenario import BRIGHT_LINK
+from test_scenario import BRIGHT_LINK, GOLDEN, _assert_matches
 
 PUBLISHED_CONFIG = DecoySourceConfig(
     intensities={"s": 0.18, "d1": 0.09, "d2": 5e-4},
@@ -302,6 +303,24 @@ class TestPopulationLP:
 # the searched N_sig at 1e-4 of each detector preset
 SEARCHED_N_SIG = {"standard": 193570556600.58203, "ingaas-apd": 46340950011.841576,
                   "ingaas-inp-apd": 3683127730631.186, "snspd": 57548870791.11228}
+
+
+def searched_report(preset: str) -> dict:
+    """The report of the preset's length search at 1e-4, as rendered JSON."""
+    source = presets.default_source_config()
+    found = signature_length_search(source, source, presets.profile_for_preset(preset),
+                                    ErrorBudget(), 1e-4)
+    assert found.n_sig == found.report.N_sig
+    return json.loads(render_report(found.report.to_dict()))
+
+
+@pytest.mark.parametrize("preset", SEARCHED_N_SIG)
+def test_searched_report_matches_golden(preset):
+    # the whole searched report, not only its N_sig: every bound of the
+    # selected budget, both links' per-Bell estimates included
+    report = searched_report(preset)
+    assert report["N_sig"].hex() == SEARCHED_N_SIG[preset].hex()
+    _assert_matches(report, json.loads((GOLDEN / "search.json").read_text())[preset])
 
 
 def capture_programs(monkeypatch) -> list:
