@@ -28,13 +28,15 @@ Bell states the same counts, so it solves at most four programs in all.
 
 The programs are values (``DecoyPrograms``), built once per source pair
 and kept for a whole length search or Monte-Carlo run: the photon
-population, the two objectives, and one HiGHS model per constraint matrix.
-A basis block's matrix depends only on which of its sets were observed, so
-the Z and X blocks share one; the joint error program's depends on its two
-blocks' sets.  A solve changes a kept model's cost, caps and right-hand
-side and runs the HiGHS dual simplex cold, without presolve, to the optimum
-scipy's ``linprog(method="highs")`` gives.  HiGHS is scipy's binding,
-loaded from its file on the first solve without importing scipy.optimize.
+population, the two objectives, and two constraint matrices, each with one
+kept HiGHS model.  The basis block has an upper and a lower row per set and
+serves the Z and X blocks; the joint error program stacks two such blocks
+over its V_nm <= S_nm rows.  A set with no observations keeps its rows with
+an infinite right-hand side.  A solve changes a kept model's cost, caps and
+right-hand side and runs the HiGHS dual simplex cold, without presolve, to
+the optimum scipy's ``linprog(method="highs")`` gives.  HiGHS is scipy's
+binding, loaded from its file on the first solve without importing
+scipy.optimize.
 
 All probability bookkeeping lives in ErrorBudget; every bound holds except
 with the probability recorded there.
@@ -258,8 +260,10 @@ class ConstraintMatrix:
 
 def linprog(cost, matrix: ConstraintMatrix, b_ub, caps):
     """Minimize cost @ x over {matrix.a_ub @ x <= b_ub, 0 <= x <= caps} with
-    one HiGHS run.  Returns (status, x, value): HiGHS's model status name,
-    and the optimum and its value when the status is "Optimal" (else None).
+    one HiGHS run; an infinite b_ub leaves its row free.  Returns (status,
+    x, value, activity): HiGHS's model status name, and when the status is
+    "Optimal" the optimum, its value and HiGHS's row activities at it (else
+    None).
 
     The first solve of a matrix passes HiGHS the solver, options and model
     of scipy's ``linprog(method="highs")``, the matrix column-wise in
@@ -301,12 +305,13 @@ def linprog(cost, matrix: ConstraintMatrix, b_ub, caps):
     matrix.b_ub = b_ub.copy()
     solver.run()
     status = solver.modelStatusToString(solver.getModelStatus())
-    x = value = None
+    x = value = activity = None
     if status == "Optimal":
-        x = np.array(solver.getSolution().col_value)
+        solution = solver.getSolution()
+        x, activity = np.array(solution.col_value), np.array(solution.row_value)
         value = solver.getObjectiveValue()
     solver.clearSolver()
-    return status, x, value
+    return status, x, value, activity
 
 
 def _solve_lp(cost, matrix: ConstraintMatrix, b_ub, caps, maximize: bool = False):
@@ -316,9 +321,11 @@ def _solve_lp(cost, matrix: ConstraintMatrix, b_ub, caps, maximize: bool = False
     HiGHS is called directly (``linprog``), with presolve off: on these
     small programs presolve costs a quarter to a third of each solve.  The
     returned point is checked as scipy's linprog checks it: no NaN, every
-    bound and row kept to within 10 * sqrt(1e-9)."""
+    bound kept to within 10 * sqrt(1e-9), and every row by the activity
+    HiGHS returns, which a product recomputed here can miss by more than
+    that on right-hand sides near 1e9."""
     cost = np.ravel(cost)
-    status, x, value = linprog(-cost if maximize else cost, matrix, b_ub, caps)
+    status, x, value, activity = linprog(-cost if maximize else cost, matrix, b_ub, caps)
     if status == "Infeasible":
         raise InfeasibleObservationsError(
             "observed set sizes admit no consistent photon-number population"
@@ -327,7 +334,7 @@ def _solve_lp(cost, matrix: ConstraintMatrix, b_ub, caps, maximize: bool = False
         raise InfeasibleObservationsError(f"population LP failed: HiGHS model status {status}")
     # a comparison with NaN is false, so a NaN coordinate fails these too
     kept = ((x >= -_POINT_TOL).all() and (x <= caps + _POINT_TOL).all()
-            and (b_ub - matrix.a_ub @ x >= -_POINT_TOL).all() and not math.isnan(value))
+            and (b_ub - activity >= -_POINT_TOL).all() and not math.isnan(value))
     if not kept:
         raise InfeasibleObservationsError(
             f"population LP failed: the solver's point breaks a bound or a row "
@@ -336,24 +343,22 @@ def _solve_lp(cost, matrix: ConstraintMatrix, b_ub, caps, maximize: bool = False
     return x, -value if maximize else value
 
 
-def _set_intervals(set_sizes: np.ndarray, budget: ErrorBudget):
-    """Which of the nine observed sets of one Bell state and basis enter
-    its constraint block, and the block's right-hand side: an upper row
-    then a lower row per entering set, in set order.
+def _set_intervals(set_sizes: np.ndarray, budget: ErrorBudget) -> np.ndarray:
+    """The right-hand side of the constraint block of the nine observed
+    sets of one Bell state and basis: an upper row then a lower row per
+    set, in set order.
 
-    Sets with no observations are skipped: the printed deviation widths
-    vanish at zero and would pin the population share to exactly zero,
-    which the concentration argument cannot justify there.  Dropping the
-    rows only relaxes the program, so minima stay valid lower bounds (and
-    maxima valid upper bounds).  A block with no set keeps one empty row.
+    Both rows of a set with no observations are +inf, so they constrain
+    nothing: the printed deviation widths vanish at zero and would pin the
+    population share to exactly zero, which the concentration argument
+    cannot justify there.  Freeing the rows only relaxes the program, so
+    minima stay valid lower bounds (and maxima valid upper bounds).
     """
     sizes = np.asarray(set_sizes, dtype=float).reshape(-1)
     delta, delta_hat = chernoff_interval(sizes, budget)
-    observed = sizes > 0
-    if not observed.any():
-        return observed, np.zeros(1)
     rhs = np.stack((sizes + delta, -np.maximum(sizes - delta_hat, 0.0)), axis=1)
-    return observed, rhs[observed].reshape(-1)
+    rhs[sizes == 0] = np.inf
+    return rhs.reshape(-1)
 
 
 def _population_caps(pop: PhotonPopulation, budget: ErrorBudget, n_basis_pairs: float):
@@ -385,59 +390,38 @@ def single_pair_objective(pop: PhotonPopulation) -> np.ndarray:
 
 class DecoyPrograms:
     """The decoy programs of one source pair: its photon population, the
-    vacuum and single-pair objectives, and one ``ConstraintMatrix`` per
-    constraint matrix a program has needed.
+    vacuum and single-pair objectives, and their two ``ConstraintMatrix``
+    values, ``basis`` for the Z and X blocks and ``errors`` for the joint
+    error program.
 
-    A basis block's matrix depends only on which of its nine sets were
-    observed, so the Z and X blocks of that mask share it; the joint error
-    program's matrix depends on its pair of masks.  Each matrix keeps its
-    HiGHS model while the value lives, so one value serves a whole length
-    search or Monte-Carlo run, and its models go with it.
+    Each matrix keeps its HiGHS model while the value lives, so one value
+    serves a whole length search or Monte-Carlo run, and its models go with
+    it.
     """
 
     def __init__(self, population: PhotonPopulation):
         self.population = population
         self.vacuum = vacuum_objective(population)
         self.single = single_pair_objective(population)
-        self._matrices: dict = {}
-
-    def _matrix(self, key, build_rows) -> ConstraintMatrix:
-        if key not in self._matrices:
-            self._matrices[key] = ConstraintMatrix(build_rows())
-        return self._matrices[key]
-
-    def _rows(self, observed: np.ndarray) -> np.ndarray:
-        """Upper and lower rows of the observed sets, interleaved."""
-        if not observed.any():
-            return np.zeros((1, _GRID * _GRID))
-        coeffs = self.population.conditional.reshape(9, -1)[observed]
-        return np.stack((coeffs, -coeffs), axis=1).reshape(-1, _GRID * _GRID)
+        width = _GRID * _GRID
+        coeffs = population.conditional.reshape(9, width)
+        rows = np.stack((coeffs, -coeffs), axis=1).reshape(-1, width)
+        zeros, eye = np.zeros_like(rows), np.eye(width)
+        self.basis = ConstraintMatrix(rows)
+        self.errors = ConstraintMatrix(np.block([[rows, zeros], [zeros, rows], [-eye, eye]]))
 
     def block(self, set_sizes: np.ndarray, budget: ErrorBudget):
         """(matrix, b_ub): the two-sided constraints on the populations S
         of the nine observed sets of one Bell state and basis."""
-        observed, rhs = _set_intervals(set_sizes, budget)
-        return self._matrix(observed.tobytes(), lambda: self._rows(observed)), rhs
+        return self.basis, _set_intervals(set_sizes, budget)
 
     def joint(self, set_sizes: np.ndarray, error_sizes: np.ndarray, budget: ErrorBudget):
         """(matrix, b_ub) over the populations S and their error populations
         V: the set-size block on S, the error-count block on V, and
         V_nm <= S_nm."""
-        (observed, size_rhs), (erred, error_rhs) = (
-            _set_intervals(set_sizes, budget), _set_intervals(error_sizes, budget))
-
-        def rows():
-            size_rows, error_rows = self._rows(observed), self._rows(erred)
-            width = _GRID * _GRID
-            eye = np.eye(width)
-            return np.block([
-                [size_rows, np.zeros((len(size_rows), width))],
-                [np.zeros((len(error_rows), width)), error_rows],
-                [-eye, eye],
-            ])
-
-        rhs = np.concatenate((size_rhs, error_rhs, np.zeros(_GRID * _GRID)))
-        return self._matrix((observed.tobytes(), erred.tobytes()), rows), rhs
+        return self.errors, np.concatenate((_set_intervals(set_sizes, budget),
+                                            _set_intervals(error_sizes, budget),
+                                            np.zeros(_GRID * _GRID)))
 
 
 def _lower_bound(constraints, caps: np.ndarray, objective: np.ndarray, eps: float) -> float:
