@@ -1,4 +1,4 @@
-"""Numeric kernel: entropies, concentration functions, binomial tails.
+"""Numeric kernel: entropies and binomial tails.
 
 Everything in here is a pure function of its arguments.  Binomial tail sums
 are exact integers; where they would overflow double precision they reach
@@ -8,8 +8,6 @@ callers as base-2 logarithms.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -85,53 +83,6 @@ def binomial_tail_log2(n: int, k: int) -> float:
     if n <= EXACT_TAIL_LIMIT or not 0 <= k <= n:
         return math.log2(binomial_tail(n, k))  # raises on a k outside [0, n]
     return n * binary_entropy(min(k / n, 0.5))
-
-
-def chernoff_delta(x, y: float):
-    """Deviation g(x, y) = sqrt(2*x*ln(1/y)) of the multiplicative Chernoff
-    bound, element-wise when ``x`` is an array."""
-    if np.any(np.asarray(x) < 0):
-        raise DomainError(f"need x >= 0, got {x}")
-    if not 0.0 < y <= 1.0:
-        raise DomainError(f"need 0 < y <= 1, got {y}")
-    return np.sqrt(2.0 * x * math.log(1.0 / y))
-
-
-def serfling_lambda(x: float, y: float, z: float) -> float:
-    """Serfling deviation sqrt((x - y + 1) * ln(1/z) / (2*x*y)) for sampling
-    y items without replacement out of x."""
-    if not x >= y >= 1:
-        raise DomainError(f"need x >= y >= 1, got x={x}, y={y}")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"need 0 < z <= 1, got {z}")
-    return math.sqrt((x - y + 1) * math.log(1.0 / z) / (2.0 * x * y))
-
-
-def upsilon(x: float, y: float, z: float) -> float:
-    """Deviation sqrt((x + 1) * ln(1/z) / (2*y*(x + y))) used by the
-    phase-error transfer from the X-basis sample."""
-    if x < 0:
-        raise DomainError(f"need x >= 0, got {x}")
-    if y < 1:
-        raise DomainError(f"need y >= 1, got {y}")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"need 0 < z <= 1, got {z}")
-    return math.sqrt((x + 1) * math.log(1.0 / z) / (2.0 * y * (x + y)))
-
-
-def mu_parameter(n_half: float, r_k: float, eps_pe: float) -> float:
-    """Random-sampling correction mu(n_k/2, R_k, eps_PE).
-
-    Equals sqrt((n_k/2 - R_k + 1) * ln(1/eps_PE) / (R_k * n_k)) with
-    n_k = 2 * n_half, written exactly as used for the observed-to-true
-    error-rate conversion.
-    """
-    if not n_half >= r_k >= 1:
-        raise DomainError(f"need n_half >= R_k >= 1, got n_half={n_half}, R_k={r_k}")
-    if not 0.0 < eps_pe <= 1.0:
-        raise DomainError(f"need 0 < eps_PE <= 1, got {eps_pe}")
-    n_k = 2.0 * n_half
-    return math.sqrt((n_half - r_k + 1) * math.log(1.0 / eps_pe) / (r_k * n_k))
 
 
 def log2addexp(a: float, b: float) -> float:

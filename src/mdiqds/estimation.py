@@ -38,8 +38,8 @@ the optimum scipy's ``linprog(method="highs")`` gives.  HiGHS is scipy's
 binding, loaded from its file on the first solve without importing
 scipy.optimize.
 
-All probability bookkeeping lives in ErrorBudget; every bound holds except
-with the probability recorded there.
+Every deviation bound and its epsilon transform live in ``concentration``;
+each bound holds except with the probability recorded in ErrorBudget.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .entropy import chernoff_delta, mu_parameter, serfling_lambda, upsilon
+from .concentration import (chernoff_delta, chernoff_interval, serfling_scale, set_validity,
+                            true_error_upper_bound, upsilon)
 from .errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from .session import SiftedData
 from .sources import INTENSITY_LABELS, N_CUT, DecoySourceConfig
@@ -171,47 +172,6 @@ def photon_population(
             "X": config_a.basis_probs["X"] * config_b.basis_probs["X"],
         },
     )
-
-
-def chernoff_interval(observed, budget: ErrorBudget):
-    """Deviation widths (Delta, Delta_hat) of an observed set size, or of
-    an array of them.
-
-    The population sum lies in [observed - Delta_hat, observed + Delta]
-    except with probability eps_set + eps_set_hat.  Both widths vanish at
-    zero.
-    """
-    return (
-        chernoff_delta(observed, budget.eps_set**4 / 16.0),
-        chernoff_delta(observed, budget.eps_set_hat**1.5),
-    )
-
-
-def check_validity(mu_kl, budget: ErrorBudget):
-    """Chernoff applicability conditions for a set's concentration
-    parameter (a number or an array): (2/eps)^(1/mu) <= exp((3/(4*sqrt(2)))^2)
-    and (1/eps_hat)^(1/mu) <= exp(1/3), which for mu > 0 reduce to two lower
-    bounds on mu."""
-    bound = max(
-        math.log(2.0 / budget.eps_set) / ((3.0 / (4.0 * math.sqrt(2.0))) ** 2),
-        3.0 * math.log(1.0 / budget.eps_set_hat),
-    )
-    return mu_kl >= bound
-
-
-def concentration_parameters(set_sizes: np.ndarray, budget: ErrorBudget) -> np.ndarray:
-    """mu_{k,L}^{a,b} = |Z_k^{a,b}| - sqrt(sum_{a,b}|Z_k^{a,b}|/2 * ln(1/eps))
-    for each of the nine sets."""
-    sizes = np.asarray(set_sizes, dtype=float)
-    spread = math.sqrt(sizes.sum() / 2.0 * math.log(1.0 / budget.eps_set_dot))
-    return sizes - spread
-
-
-def set_validity(set_sizes: np.ndarray, budget: ErrorBudget) -> tuple[bool, np.ndarray]:
-    """Apply the validity conditions to every set; the boolean is the
-    all-sets conjunction used as the report flag."""
-    flags = check_validity(concentration_parameters(set_sizes, budget), budget)
-    return bool(flags.all()), flags
 
 
 # the options scipy's linprog(method="highs", options={"presolve": False})
@@ -441,19 +401,6 @@ def _upper_bound_errors(joint, caps: np.ndarray, objective: np.ndarray, eps: flo
     return worst + (chernoff_delta(worst, eps) if worst > 0 else 0.0)
 
 
-def serfling_scale(m_bound: float, z_size: int, n_half: int, eps: float) -> int:
-    """Scale a full-set count bound to a random keep half of the code string.
-
-    Returns max(floor((n_half) * m/|Z| - n_half * Lambda(|Z|, n_half, eps)), 0).
-    """
-    if n_half > z_size:
-        raise DomainError(f"keep half {n_half} exceeds set size {z_size}")
-    if n_half < 1 or m_bound <= 0:
-        return 0
-    lam = serfling_lambda(z_size, n_half, eps)
-    return max(math.floor(n_half * (m_bound / z_size) - n_half * lam), 0)
-
-
 def _require_code_bound(n_k1: int) -> None:
     """Raise unless the code string has single-photon pairs to bound."""
     if n_k1 <= 0:
@@ -520,12 +467,6 @@ def observed_error_rate(size: int, errors: int, r_k: int, rng: np.random.Generat
             f"need 1 <= R_k < |Z_ss| = {size}, got R_k = {r_k}"
         )
     return _hypergeometric(errors, size - errors, r_k, rng) / r_k
-
-
-def true_error_upper_bound(e_obs: float, n_half: int, r_k: int, eps_pe: float) -> float:
-    """Observed-to-true error conversion for random sampling without
-    replacement."""
-    return e_obs + mu_parameter(n_half, r_k, eps_pe)
 
 
 @dataclass
@@ -621,9 +562,10 @@ def _estimate_rng(seed: int) -> np.random.Generator:
 def split_signal_set(size: int, r_fraction: float) -> tuple[int, int] | None:
     """(R_k, n_k): the error-estimation bits of a signal-signal Z set of
     ``size`` bits and the code string left, rounded down to even for the
-    keep/forward split; None when the set is too small to split."""
+    keep/forward split; None when the set is too small to split, or when R_k
+    would exceed the keep half n_k/2, as the sampling correction needs."""
     r_k = int(round(r_fraction * size))
-    if size < 4 or r_k < 1 or size - r_k < 2:
+    if size < 4 or r_k < 1 or (size - r_k) // 2 < r_k:
         return None
     return r_k, (size - r_k) // 2 * 2
 

@@ -15,14 +15,8 @@ from .errors import (
     InfeasibleBoundsError,
     ValidationError,
 )
-from .estimation import (
-    DecoyPrograms,
-    ErrorBudget,
-    LinkBound,
-    estimate_yields,
-    photon_population,
-    true_error_upper_bound,
-)
+from .concentration import true_error_upper_bound
+from .estimation import DecoyPrograms, ErrorBudget, LinkBound, estimate_yields, photon_population
 from .security import (LINKS, build_security_report, choose_thresholds, link_report,
                        repudiation_bound)
 from .session import ChannelTables, run_kgp_session
@@ -136,8 +130,8 @@ class Scenario:
             raise ValidationError(f"{self.mode} mode requires a seed")
         if self.seed is not None and not (self.seed >= 0 and self.seed == int(self.seed)):
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
-        if not 0.0 < self.r_fraction < 1.0:
-            raise ValidationError("r_fraction must lie in (0,1)")
+        if not 0.0 < self.r_fraction <= 1.0 / 3.0:  # so that R_k <= n_k / 2
+            raise ValidationError(f"r_fraction must lie in (0, 1/3], got {self.r_fraction!r}")
         if not 1.0 <= self.zeta <= 2.0:
             raise ValidationError("zeta must lie in [1,2]")
         if not self.n_sig > 0:

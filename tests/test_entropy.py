@@ -1,4 +1,5 @@
-"""Kernel tests: exact oracles for the entropy and concentration functions."""
+"""Kernel tests: exact oracles for the entropy functions and the deviation
+functions of ``concentration``."""
 
 import math
 
@@ -6,17 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mdiqds.concentration import chernoff_delta, mu_parameter, serfling_lambda, upsilon
 from mdiqds.entropy import (
     EXACT_TAIL_LIMIT,
     binary_entropy,
     binomial_tail,
     binomial_tail_log2,
-    chernoff_delta,
     inverse_binary_entropy,
     log2addexp,
-    mu_parameter,
-    serfling_lambda,
-    upsilon,
 )
 from mdiqds.errors import DomainError
 

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from mdiqds import estimation, presets
-from mdiqds.entropy import chernoff_delta
+from mdiqds.concentration import (
+    chernoff_delta,
+    chernoff_interval,
+    serfling_scale,
+    set_validity,
+    true_error_upper_bound,
+)
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleObservationsError
 from mdiqds.estimation import (
     ConstraintMatrix,
@@ -23,17 +29,11 @@ from mdiqds.estimation import (
     ErrorBudget,
     LinkBound,
     PhotonPopulation,
-    chernoff_interval,
-    check_validity,
-    concentration_parameters,
-    set_validity,
     estimate_yields,
     observed_error_rate,
     photon_population,
-    serfling_scale,
     single_pair_objective,
     split_signal_set,
-    true_error_upper_bound,
     upper_bound_e_k1,
     vacuum_objective,
     _lower_bound,
@@ -142,6 +142,11 @@ class TestChernoffInterval:
         assert h4 == pytest.approx(2 * h1, rel=1e-9)
 
 
+# at every epsilon 1e-10 a set needs mu >= max(ln(2/eps_set) / (3/(4*sqrt(2)))^2,
+# 3*ln(1/eps_set_hat)) = max(84.334, 69.078)
+VALIDITY_THRESHOLD = math.log(2e10) / (3.0 / (4.0 * math.sqrt(2.0))) ** 2
+
+
 class TestCheckValidity:
     def test_large_sets_pass(self):
         ok, flags = set_validity(np.full((3, 3), 10**7), ErrorBudget())
@@ -149,20 +154,71 @@ class TestCheckValidity:
         assert flags.all()
 
     def test_empty_sets_fail(self):
-        ok, _ = set_validity(np.zeros((3, 3)), ErrorBudget())
+        # every set's mu is 0 here, and a set whose mu <= 0 fails its flag
+        ok, flags = set_validity(np.zeros((3, 3)), ErrorBudget())
         assert not ok
-        assert not check_validity(0.0, ErrorBudget())
+        assert not flags.any()
 
     def test_published_scale_sets(self):
         # the signal-signal set passes comfortably at full published scale;
         # the weakest decoy-decoy set binds and gets flagged
         rt = ChannelTables(PUBLISHED_CONFIG, PUBLISHED_CONFIG, PUBLISHED_PROFILE).expected_rates()
         sizes = rt.expected_set_sizes(5.58e12)["Z"][0]
-        mu = concentration_parameters(sizes, ErrorBudget())
-        assert check_validity(float(mu[0, 0]), ErrorBudget())
         ok, flags = set_validity(sizes, ErrorBudget())
+        assert flags[0, 0]
         assert not ok
         assert not flags[2, 2]
+
+    def test_threshold_edge(self):
+        # mu = |Z^{ab}| - sqrt(sum_ab |Z^{ab}| / 2 * ln(1/eps_set_dot)): put two
+        # sets at the threshold plus that spread, which they enter themselves,
+        # then move one up and the other down by 0.01, keeping the sum
+        assert VALIDITY_THRESHOLD == pytest.approx(84.334, abs=1e-3)
+        sizes = np.full((3, 3), 10_000.0)
+        for _ in range(10):
+            spread = math.sqrt(sizes.sum() / 2.0 * math.log(1e10))
+            sizes[0, 1] = sizes[1, 0] = VALIDITY_THRESHOLD + spread
+        sizes[0, 1] += 0.01
+        sizes[1, 0] -= 0.01
+        ok, flags = set_validity(sizes, ErrorBudget())
+        assert not ok
+        assert flags[0, 1] and not flags[1, 0]
+        assert flags.sum() == 8
+
+    def test_larger_eps_set_lowers_threshold(self):
+        # eps_set_dot = 1 makes the spread vanish, so mu = |Z^{ab}|.  At
+        # eps_set = 1e-6 the first condition needs only ln(2e6) / (9/32) = 51.6,
+        # and the second, 69.078, binds: 80 passes there, 60 fails at both
+        sizes = np.array([[80.0, 60.0, 85.0]] * 3)
+        strict = set_validity(sizes, ErrorBudget(eps_set_dot=1.0))[1]
+        loose = set_validity(sizes, ErrorBudget(eps_set_dot=1.0, eps_set=1e-6))[1]
+        assert strict.tolist() == [[False, False, True]] * 3
+        assert loose.tolist() == [[True, False, True]] * 3
+
+
+class TestSplitSignalSet:
+    def test_sample_never_exceeds_keep_half(self):
+        # the sampling correction needs n_k/2 >= R_k; near r_fraction = 1/3
+        # the rounding of R_k alone breaks it, and above 1/3 every set does
+        assert split_signal_set(5, 1 / 3) is None  # R_k = 2, n_k/2 = 1
+        assert split_signal_set(6, 1 / 3) == (2, 4)
+        assert split_signal_set(10**9, 0.34) is None
+        for r_fraction in np.linspace(0.01, 0.99, 99):
+            for size in range(300):
+                split = split_signal_set(size, r_fraction)
+                if split is not None:
+                    assert split[1] // 2 >= split[0] >= 1
+
+    def test_default_fraction_splits_as_before(self):
+        # at the default fraction the keep-half rule refuses no set that the
+        # earlier rule, size - R_k >= 2, split
+        for size in range(20_000):
+            r_k = int(round(presets.DEFAULT_R_FRACTION * size))
+            split = split_signal_set(size, presets.DEFAULT_R_FRACTION)
+            if size < 4 or r_k < 1 or size - r_k < 2:
+                assert split is None
+            else:
+                assert split == (r_k, (size - r_k) // 2 * 2)
 
 
 class TestPhotonPopulation:

@@ -82,6 +82,14 @@ class TestScenarioLoading:
                 {"mode": "analytic", "profile": {"detector_efficiency": 1.5}}
             )
 
+    @pytest.mark.parametrize("r_fraction", [0.0, 0.34, 0.5, 0.9, 1.0])
+    def test_r_fraction_at_most_a_third(self, r_fraction):
+        # the R_k = r_fraction * |Z_ss| sampled bits may be at most the keep
+        # half n_k/2 of what is left, which every large set breaks above 1/3
+        with pytest.raises(ValidationError, match=r"r_fraction must lie in \(0, 1/3\]"):
+            scenario_from_dict({"r_fraction": r_fraction})
+        assert scenario_from_dict({"r_fraction": 1 / 3}).r_fraction == 1 / 3
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown scenario fields"):
             scenario_from_dict({"mode": "analytic", "detector": "snspd"})
@@ -456,6 +464,17 @@ class TestCli:
         assert result.exit_code == 3, result.output
         assert result.output.startswith("validation error: ")
         assert limit in result.output
+
+    def test_simulate_rejects_r_fraction_above_a_third(self, tmp_path, monkeypatch):
+        # rejected with the config, before the first link's session is drawn
+        monkeypatch.setattr("mdiqds.scenario.run_kgp_session",
+                            lambda *args, **kwargs: pytest.fail("session drawn"))
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"r_fraction": 0.9}))
+        result = CliRunner().invoke(
+            main, ["simulate", "--seed", "1", "--scale", "1e3", "--config", str(path)])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("validation error: r_fraction")
 
     def test_simulate_infeasible_exit_code(self):
         runner = CliRunner()

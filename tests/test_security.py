@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mdiqds.concentration import true_error_upper_bound
 from mdiqds.entropy import EXACT_TAIL_LIMIT, binary_entropy, binomial_tail_log2
 from mdiqds import presets, security
 from mdiqds.errors import DegenerateSessionError, DomainError, InfeasibleBoundsError
@@ -17,7 +18,6 @@ from mdiqds.estimation import (
     YieldEstimate,
     estimate_yields,
     photon_population,
-    true_error_upper_bound,
 )
 from mdiqds.protocol import forging_success_probability
 from mdiqds.security import (
@@ -411,6 +411,21 @@ class TestSignatureLengthSearch:
                 target_security=1e-5,
                 relative_tolerance=0.5,
             )
+
+    @pytest.mark.parametrize("r_fraction", [0.3, 1 / 3, 0.34, 0.5, 0.9])
+    def test_any_r_fraction_gives_a_result_or_infeasible(self, r_fraction):
+        # the sampling correction needs R_k <= n_k/2: above 1/3 no set
+        # splits, so the search finds no statistics rather than raising
+        # DomainError from inside the correction
+        config = presets.default_source_config()
+        profile = presets.profile_for_preset("snspd")
+        try:
+            result = signature_length_search(config, config, profile, BUDGET, 1e-4,
+                                             r_fraction=r_fraction)
+        except InfeasibleBoundsError as exc:
+            assert r_fraction > 1 / 3 and "no statistics" in str(exc)
+        else:
+            assert r_fraction <= 1 / 3 and result.report.meets_target(1e-4)
 
 
 class TestLadderSkip:
