@@ -562,12 +562,24 @@ def _estimate_rng(seed: int) -> np.random.Generator:
 def split_signal_set(size: int, r_fraction: float) -> tuple[int, int] | None:
     """(R_k, n_k): the error-estimation bits of a signal-signal Z set of
     ``size`` bits and the code string left, rounded down to even for the
-    keep/forward split; None when the set is too small to split, or when R_k
-    would exceed the keep half n_k/2, as the sampling correction needs."""
-    r_k = int(round(r_fraction * size))
-    if size < 4 or r_k < 1 or (size - r_k) // 2 < r_k:
+    keep/forward split; None when `split_refusal` names a reason."""
+    if split_refusal(size, r_fraction) is not None:
         return None
+    r_k = int(round(r_fraction * size))
     return r_k, (size - r_k) // 2 * 2
+
+
+def split_refusal(size: int, r_fraction: float) -> str | None:
+    """Why a signal-signal Z set of ``size`` bits cannot be split: it is too
+    small, or R_k = round(r_fraction * size) would exceed the keep half
+    n_k/2, as the sampling correction needs; None when it can be."""
+    r_k = int(round(r_fraction * size))
+    if size < 4 or r_k < 1:
+        return f"signal-signal Z set too small ({size})"
+    if (size - r_k) // 2 < r_k:
+        return (f"r_fraction {r_fraction} samples R_k = {r_k} bits of a signal-signal Z "
+                f"set of {size}, more than its keep half of {(size - r_k) // 2}")
+    return None
 
 
 def estimate_yields(
@@ -603,7 +615,7 @@ def estimate_yields(
         est = result.estimates[bell] = YieldEstimate(bell=bell, budget=budget)
         split = split_signal_set(size, r_fraction)
         if split is None:
-            est.abort_reason = f"signal-signal Z set too small ({size})"
+            est.abort_reason = split_refusal(size, r_fraction)
             continue
         est.r_k, est.n_k = split
         est.e_obs = observed_error_rate(size, int(sifted.z_errors[bell, 0, 0]), est.r_k, rng)

@@ -71,7 +71,8 @@ class AnalyticInputs:
                                   f"{int(self.n_k) // 2}, got {self.h_min_target!r}")
 
 
-# each battery holds (4, trials) int64 arrays, ~33 MB per 10^6 trials
+# bounds the forging battery's (trials,) int64 array, ~80 MB at 10^7; the
+# other batteries draw their outcome counts in one call
 _MAX_TRIALS = 10**7
 
 

@@ -432,10 +432,17 @@ def signature_length_search(
         report = evaluate(budget_cap)
         if report is not None and report.meets_target(target_security):
             hi = (budget_cap, report)
-        elif report is None or not report.feasible:
-            reason = report.infeasible_reason if report else "no statistics"
+        elif report is None:
+            # name what stopped each Bell state of the expected session
+            result = estimate_yields(expected_sifted_data(rates, budget_cap), programs,
+                                     budget, r_fraction=r_fraction, seed=0)
+            reasons = dict.fromkeys(est.abort_reason for est in result.estimates.values())
             raise InfeasibleBoundsError(
-                f"infeasible even in the asymptotic limit: {reason}"
+                f"infeasible even in the asymptotic limit: no statistics: {'; '.join(reasons)}"
+            )
+        elif not report.feasible:
+            raise InfeasibleBoundsError(
+                f"infeasible even in the asymptotic limit: {report.infeasible_reason}"
             )
         else:
             raise InfeasibleBoundsError(

@@ -33,6 +33,7 @@ from mdiqds.estimation import (
     observed_error_rate,
     photon_population,
     single_pair_objective,
+    split_refusal,
     split_signal_set,
     upper_bound_e_k1,
     vacuum_objective,
@@ -219,6 +220,25 @@ class TestSplitSignalSet:
                 assert split is None
             else:
                 assert split == (r_k, (size - r_k) // 2 * 2)
+
+
+    def test_refusal_names_its_cause(self):
+        for r_fraction in np.linspace(0.01, 0.99, 99):
+            for size in range(300):
+                reason = split_refusal(size, r_fraction)
+                assert (reason is None) == (split_signal_set(size, r_fraction) is not None)
+                r_k = int(round(r_fraction * size))
+                assert (reason or "").startswith("signal-signal Z set too small") == (
+                    size < 4 or r_k < 1)
+        # snspd at 1e12: each Bell state's set holds ~6.4e7 bits, refused
+        # only because R_k would exceed the keep half
+        source = presets.default_source_config()
+        rates = ChannelTables(source, source, presets.profile_for_preset("snspd")).expected_rates()
+        result = estimate_yields(expected_sifted_data(rates, 1e12), programs_for(source),
+                                 ErrorBudget(), r_fraction=0.5)
+        for bell, est in result.estimates.items():
+            assert est.abort_reason.startswith("r_fraction 0.5 samples R_k"), est.abort_reason
+            assert str(result.z_sizes[bell]) in est.abort_reason
 
 
 class TestPhotonPopulation:

@@ -1,8 +1,10 @@
 """Protocol mechanics against the record-level reference and exact
 enumeration oracles."""
 
+import functools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 from mdiqds.errors import ValidationError
 from mdiqds.protocol import (
     forging_success_probability,
+    honest_cells,
+    repudiation_cells,
     simulate_forging_bob,
     simulate_honest_batch,
     simulate_honest_run,
@@ -42,6 +46,9 @@ def binom_cdf(k, n, p):
     return sum(binom_pmf(j, n, p) for j in range(0, k + 1))
 
 
+# cached: exact_repudiation reads each kept count's probability once per
+# count of the other string
+@functools.lru_cache(maxsize=None)
 def hyper_pmf(k, population, successes, draws):
     if k < max(0, draws - (population - successes)) or k > min(successes, draws):
         return 0.0
@@ -288,6 +295,90 @@ class TestAgainstOracles:
         exact = exact_honest_abort(length, error, s_a)
         sigma = math.sqrt(exact * (1 - exact) / runs)
         assert abs(aborts / runs - exact) < 3.5 * sigma
+
+
+# -- outcome cells of the batteries -------------------------------------------
+
+CELL_LENGTHS = (24, 200, 1000)
+CELL_RATES = (0.0, 0.01, 0.05, 0.25, 0.5, 1.0)
+# (s_a, s_v) in (0, 0.6]; the last pair, s_a > s_v, lies outside the
+# protocol's preconditions and makes Alice win almost surely
+CELL_THRESHOLDS = ((0.02, 0.05), (0.15, 0.25), (0.35, 0.6), (0.6, 0.1))
+
+
+def planted(w, length):
+    """An error rate whose floor(e * L) is exactly w."""
+    return min((w + 0.5) / length, 1.0)
+
+
+class TestOutcomeCells:
+    @pytest.mark.parametrize("length", CELL_LENGTHS)
+    def test_honest_cells_match_enumeration(self, length):
+        for error in CELL_RATES:
+            for s_a, s_v in CELL_THRESHOLDS:
+                abort, failure, _ = honest_cells(length, error, s_a, s_v)
+                assert abort == pytest.approx(exact_honest_abort(length, error, s_a),
+                                              rel=0, abs=1e-12)
+                assert failure == pytest.approx(
+                    exact_transfer_failure(length, error, s_a, s_v), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("length", CELL_LENGTHS)
+    def test_repudiation_cells_match_enumeration(self, length):
+        # the same rate planted in both strings, and the rates paired in
+        # reverse order
+        for e_b, e_c in [*zip(CELL_RATES, CELL_RATES), *zip(CELL_RATES, CELL_RATES[::-1])]:
+            for s_a, s_v in CELL_THRESHOLDS:
+                win, _ = repudiation_cells(e_b, e_c, length, s_a, s_v)
+                assert win == pytest.approx(exact_repudiation(length, e_b, e_c, s_a, s_v),
+                                            rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [2, 24, 1000, 10**5, 10**6])
+    def test_cells_are_a_distribution(self, length):
+        # at L = 10^5 a lower tail summed over the full support came out a few
+        # ulps above 1, so a cell taken as 1 - tail went negative
+        half = length // 2
+        edges = {w for w in (0, 1, half - 1, half, half + 1, length - 1, length) if w <= length}
+        thresholds = CELL_THRESHOLDS + ((1e-9, 1e-9), (0.6, 0.6))
+        cells = [honest_cells(length, error, s_a, s_v)
+                 for error in (0.0, 1e-9, 0.05, 0.5, 1.0) for s_a, s_v in thresholds]
+        cells += [repudiation_cells(planted(w_b, length), planted(w_c, length), length, s_a, s_v)
+                  for w_b in edges for w_c in edges for s_a, s_v in thresholds[1::2]]
+        cells += [repudiation_cells(e, e, length, s_a, s_v)
+                  for e in (0.05, 0.2, 0.3) for s_a, s_v in thresholds]
+        for cell in cells:
+            assert all(type(p) is float and p >= 0.0 for p in cell), cell
+            assert sum(cell) == pytest.approx(1.0, rel=0, abs=1e-12), cell
+
+    def test_rates_outside_the_unit_interval_rejected(self):
+        for error in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValidationError):
+                honest_cells(24, error, 0.1, 0.2)
+            with pytest.raises(ValidationError):
+                repudiation_cells(0.1, error, 24, 0.1, 0.2)
+
+    def test_batteries_within_three_sigma_at_a_million_trials(self):
+        trials = 10**6
+        honest = simulate_honest_batch(24, 0.25, 0.35, 0.5, trials, seed=41)
+        rate = simulate_repudiating_alice(0.25, 0.25, 24, 0.35, 0.4, trials, seed=43)
+        # the report renders these, so they must be Python floats
+        assert json.dumps({"honest": honest, "rate": rate})
+        for got, exact in ((honest["abort_rate"], exact_honest_abort(24, 0.25, 0.35)),
+                           (honest["transfer_failure_rate"],
+                            exact_transfer_failure(24, 0.25, 0.35, 0.5)),
+                           (rate, exact_repudiation(24, 0.25, 0.25, 0.35, 0.4))):
+            assert 0.01 < exact < 0.99
+            assert abs(got - exact) < 3 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_memory_does_not_grow_with_trials(self):
+        simulate_honest_batch(1000, 0.05, 0.15, 0.25, 10, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            simulate_honest_batch(1000, 0.05, 0.15, 0.25, 10**7, seed=1)
+            simulate_repudiating_alice(0.2, 0.2, 1000, 0.15, 0.25, 10**7, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestBoundConformance:

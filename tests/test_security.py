@@ -424,6 +424,7 @@ class TestSignatureLengthSearch:
                                              r_fraction=r_fraction)
         except InfeasibleBoundsError as exc:
             assert r_fraction > 1 / 3 and "no statistics" in str(exc)
+            assert f"r_fraction {r_fraction} samples R_k" in str(exc)
         else:
             assert r_fraction <= 1 / 3 and result.report.meets_target(1e-4)
 
