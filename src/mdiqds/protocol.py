@@ -93,13 +93,12 @@ def simulate_honest_run(
 
 # -- trial batteries -------------------------------------------------------
 #
-# The honest and repudiation batteries print outcome frequencies, and each
-# trial's outcome is a function of its four half counts, whose exact laws are
-# known.  So each battery computes its outcome cells from those laws and
-# draws the outcome counts in one call: no array grows with trials or with
-# length.  The forging battery keeps its per-trial draws, because its bound
-# is its own exact success probability and a draw from that probability
-# would check nothing.
+# Each trial's outcome is a function of its four half counts, so the honest
+# and repudiation batteries draw their outcome counts in one call, over cells
+# computed from the counts' exact laws: no array grows with trials, and a
+# law's window grows only as sqrt(L).  The forging battery's bound is its own
+# exact success probability, which a draw from that probability would not
+# check, so that battery keeps its per-trial draws.
 
 # A law's terms are kept out to where Bernstein's bound on its tails falls
 # below exp(-_TAIL_NATS), which holds for the hypergeometric too (Hoeffding,
